@@ -1,10 +1,10 @@
 // Command simbench measures the cycle-level simulator's own speed: for
-// each requested design it builds the same dyad three times — stepped
-// cycle by cycle, with the legacy whole-dyad fast-forward, and on the
-// discrete-event engine — runs all three for the same simulated-cycle
-// budget, and prints a JSON report with simulated cycles per wall
-// second, the per-mode speedup over stepping, and the skip ratio
-// (fraction of simulated cycles advanced by jumps rather than steps).
+// each requested design it builds the same dyad twice — stepped cycle
+// by cycle and on the discrete-event engine — runs both for the same
+// simulated-cycle budget, and prints a JSON report with simulated
+// cycles per wall second, the event engine's speedup over stepping, and
+// its skip ratio (fraction of simulated cycles advanced by jumps rather
+// than steps).
 //
 // Usage:
 //
@@ -16,8 +16,8 @@
 // stall-heavy configuration where the event engine must shine.
 //
 // The runs double as a live equivalence check: simbench exits non-zero
-// if any mode disagrees with stepping on retired instructions, completed
-// requests, master-core stats, or elapsed cycles. -floor makes the
+// if the event engine disagrees with stepping on retired instructions,
+// completed requests, master-core stats, or elapsed cycles. -floor makes the
 // measurement itself a gate: if the event engine's speedup over stepping
 // falls below the floor on any design, simbench exits non-zero, so CI
 // can pin the discrete-event win and fail when it rots.
@@ -34,11 +34,11 @@ import (
 )
 
 type row struct {
-	design                duplexity.Design
-	cycles                uint64
-	stepSec, ffSec, evSec float64
-	ffSkipped, evSkipped  uint64
-	retired, requests     uint64
+	design            duplexity.Design
+	cycles            uint64
+	stepSec, evSec    float64
+	evSkipped         uint64
+	retired, requests uint64
 }
 
 func main() {
@@ -84,12 +84,12 @@ func main() {
 		if i == len(rows)-1 {
 			comma = ""
 		}
-		fmt.Printf("    {\"design\": %q, \"step_cycles_per_sec\": %.0f, \"ff_cycles_per_sec\": %.0f, "+
-			"\"event_cycles_per_sec\": %.0f, \"ff_speedup\": %.2f, \"event_speedup\": %.2f, "+
-			"\"ff_skip_ratio\": %.4f, \"event_skip_ratio\": %.4f, \"retired\": %d, \"requests\": %d}%s\n",
-			r.design.String(), float64(r.cycles)/r.stepSec, float64(r.cycles)/r.ffSec,
-			float64(r.cycles)/r.evSec, r.stepSec/r.ffSec, r.stepSec/r.evSec,
-			float64(r.ffSkipped)/float64(r.cycles), float64(r.evSkipped)/float64(r.cycles),
+		fmt.Printf("    {\"design\": %q, \"step_cycles_per_sec\": %.0f, "+
+			"\"event_cycles_per_sec\": %.0f, \"event_speedup\": %.2f, "+
+			"\"event_skip_ratio\": %.4f, \"retired\": %d, \"requests\": %d}%s\n",
+			r.design.String(), float64(r.cycles)/r.stepSec,
+			float64(r.cycles)/r.evSec, r.stepSec/r.evSec,
+			float64(r.evSkipped)/float64(r.cycles),
 			r.retired, r.requests, comma)
 	}
 	fmt.Println("  ]")
@@ -158,11 +158,6 @@ func measure(design duplexity.Design, spec *duplexity.Workload, load float64, se
 		return r, err
 	}
 	r.stepSec = stepSec
-	ff, ffSec, err := run(duplexity.ExecFastForward)
-	if err != nil {
-		return r, err
-	}
-	r.ffSec, r.ffSkipped = ffSec, ff.SkippedCycles
 	ev, evSec, err := run(duplexity.ExecEvent)
 	if err != nil {
 		return r, err
@@ -171,22 +166,20 @@ func measure(design duplexity.Design, spec *duplexity.Workload, load float64, se
 	r.retired = ev.MasterOoO.Stats.TotalRetired
 	r.requests = ev.MasterOoO.ThreadStats(0).RequestsCompleted
 
-	// Live equivalence check: every mode must agree with stepping on the
-	// externally visible outcome.
-	for _, d := range []*duplexity.Dyad{ff, ev} {
-		if d.Now() != slow.Now() {
-			return r, fmt.Errorf("%v/%v: clock diverged from stepping: %d vs %d",
-				design, d.Exec, d.Now(), slow.Now())
-		}
-		if d.MasterOoO.Stats != slow.MasterOoO.Stats {
-			return r, fmt.Errorf("%v/%v: master core stats diverged from stepping:\n%+v\nvs\n%+v",
-				design, d.Exec, d.MasterOoO.Stats, slow.MasterOoO.Stats)
-		}
-		if a, b := d.MasterOoO.ThreadStats(0).RequestsCompleted,
-			slow.MasterOoO.ThreadStats(0).RequestsCompleted; a != b {
-			return r, fmt.Errorf("%v/%v: completed requests diverged from stepping: %d vs %d",
-				design, d.Exec, a, b)
-		}
+	// Live equivalence check: the event engine must agree with stepping
+	// on the externally visible outcome.
+	if ev.Now() != slow.Now() {
+		return r, fmt.Errorf("%v: event clock diverged from stepping: %d vs %d",
+			design, ev.Now(), slow.Now())
+	}
+	if ev.MasterOoO.Stats != slow.MasterOoO.Stats {
+		return r, fmt.Errorf("%v: event master core stats diverged from stepping:\n%+v\nvs\n%+v",
+			design, ev.MasterOoO.Stats, slow.MasterOoO.Stats)
+	}
+	if a, b := ev.MasterOoO.ThreadStats(0).RequestsCompleted,
+		slow.MasterOoO.ThreadStats(0).RequestsCompleted; a != b {
+		return r, fmt.Errorf("%v: event completed requests diverged from stepping: %d vs %d",
+			design, a, b)
 	}
 	return r, nil
 }

@@ -44,30 +44,29 @@ type Options struct {
 	// daemons, in practice) and its entries are written into the local
 	// cache verbatim, so a remote-executed campaign leaves the same cache
 	// bytes a local run would. A Remote error falls back to local
-	// computation when the task has a Run body.
+	// computation when the cell's plan can compute it.
 	Remote Remote
 }
 
 // Remote executes a cell somewhere else and returns the same Entry a
 // local computation would have cached: the full key, the producing
 // worker's simulation wall time, and the raw result JSON. The bool
-// reports whether the remote answered from its own cache. Implementations
-// must be safe for concurrent use; internal/fleet provides the
-// rendezvous-sharded, hedged implementation. tr, which may be nil
-// (untraced), receives the dispatch's remote spans so the caller's
-// end-to-end timeline covers the network hop (DESIGN.md §11).
+// reports whether the remote answered from its own cache.
+// Implementations must be safe for concurrent use; internal/fleet
+// provides the rendezvous-sharded, hedged implementation.
+//
+// shardDigest is the digest placement ranks on: a cell with phase-1
+// micro-sims passes its first micro's digest, so every load fanned out
+// from one micro-sim lands on the worker that already holds it; ""
+// ranks on the cell's own digest. Identity and verification always use
+// k. A non-zero deadline marks a deadline-lane cell, which the remote
+// may place and hedge more aggressively as the deadline nears
+// (Hurry-up-style scheduling); it never changes what is computed. tr,
+// which may be nil (untraced), receives the dispatch's remote spans so
+// the caller's end-to-end timeline covers the network hop
+// (DESIGN.md §11).
 type Remote interface {
-	Exec(k Key, tr *telemetry.CellTrace) (Entry, bool, error)
-}
-
-// DeadlineRemote is an optional Remote refinement for deadline-lane
-// cells: ExecDeadline behaves like Exec but may place and hedge more
-// aggressively as the deadline nears (Hurry-up-style scheduling). A
-// Remote that does not implement it is driven through Exec regardless
-// of deadline.
-type DeadlineRemote interface {
-	Remote
-	ExecDeadline(k Key, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error)
+	Exec(k Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error)
 }
 
 // Engine executes campaign cells on a bounded worker pool with optional
@@ -147,17 +146,12 @@ func (e *Engine) Stats() Summary {
 }
 
 // Task is one campaign cell: a content-address for its full input and
-// the function that computes it. R must round-trip through
+// the plan that computes it. The result type R must round-trip through
 // encoding/json unchanged for cache hits to be exact (exported fields,
 // no maps with non-deterministic iteration feeding back into results).
 type Task[R any] struct {
-	Key Key
-	Run func() (R, error)
-	// TwoPhase, when non-nil, resolves the cell through the two-layer
-	// cache (phase-1 micro-sims shared across cells, phase-2 stored
-	// under the cell's own digest) instead of Run. TwoPhase.Queue must
-	// produce bytes identical to Run's for the same key.
-	TwoPhase *TwoPhase
+	Key  Key
+	Plan *Plan
 }
 
 // Run executes tasks on the engine's worker pool and returns their
@@ -211,131 +205,89 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 	return results, nil
 }
 
-// Do resolves a single cell outside any batch: the asynchronous
-// submission hook used by long-running services (internal/serve) that
-// admit cells one at a time instead of in Run batches. It shares the
-// cache, journal, and stats accounting with Run and is safe for
-// concurrent use. The second return reports whether the cache answered
-// the cell.
-func Do[R any](e *Engine, t Task[R]) (R, bool, error) {
-	return runOne(e, t)
-}
-
-// runOne resolves one cell: cache probe, then simulation plus
-// journaling on a miss. The bool reports a cache hit.
+// runOne resolves one cell and decodes its result. The bool reports a
+// cache hit.
 func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
-	var zero R
-	var ent Entry
-	var cached bool
-	var err error
-	if t.TwoPhase != nil {
-		ent, cached, err = e.DoRawTwoPhase(t.Key, t.TwoPhase, nil, time.Time{})
-	} else {
-		var run func() (json.RawMessage, error)
-		if t.Run != nil {
-			run = func() (json.RawMessage, error) {
-				r, rerr := t.Run()
-				if rerr != nil {
-					return nil, rerr
-				}
-				raw, merr := json.Marshal(r)
-				if merr != nil {
-					return nil, fmt.Errorf("encoding result: %w", merr)
-				}
-				return raw, nil
-			}
-		}
-		ent, cached, err = e.DoRaw(t.Key, run)
-	}
-	if err != nil {
-		return zero, false, err
-	}
 	var r R
+	ent, cached, err := e.Resolve(t.Key, t.Plan, nil, time.Time{})
+	if err != nil {
+		return r, false, err
+	}
 	if err := json.Unmarshal(ent.Result, &r); err != nil {
-		return zero, false, fmt.Errorf("decoding result: %w", err)
+		return r, false, fmt.Errorf("decoding result: %w", err)
 	}
 	return r, cached, nil
 }
 
-// DoRaw resolves one cell at the cache-entry level: local cache probe,
-// then the remote executor (if configured), then local computation via
-// run. The returned Entry is exactly what the cache holds (or would
-// hold, sans cache dir), which is what lets a fleet worker ship its
-// envelope to a coordinator that then stores byte-identical entries.
-// The bool reports whether any cache — local or a remote worker's —
-// answered the cell. run may be nil when the caller cannot compute
-// locally; such a cell fails if it is neither cached nor remotely
-// executable.
-func (e *Engine) DoRaw(k Key, run func() (json.RawMessage, error)) (Entry, bool, error) {
-	return e.DoRawTraced(k, run, nil)
-}
-
-// DoRawTraced is DoRaw with per-stage tracing: the cache probe, remote
-// dispatch, local compute, and cache-write serialization each record a
-// span on tr (nil tr: untraced, zero extra work). The stage breakdown
-// is also journaled with the completion. Tracing never changes what is
-// computed or cached — entries and results are byte-identical with tr
-// nil or not.
-func (e *Engine) DoRawTraced(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace) (Entry, bool, error) {
-	return e.DoRawDeadline(k, run, tr, time.Time{})
-}
-
-// DoRawDeadline is DoRawTraced for deadline-lane cells: a non-zero
-// deadline is forwarded to the remote when it implements DeadlineRemote,
-// so a fleet coordinator can prefer the hot-cache worker and hedge
-// earlier as the budget shrinks. The deadline never changes what is
-// computed or cached — only where and how eagerly.
-func (e *Engine) DoRawDeadline(k Key, run func() (json.RawMessage, error), tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
+// Resolve resolves one cell at the cache-entry level — the engine's
+// only resolver, shared by Run batches, the serve layer, and fleet
+// workers. The sequence is: local cache probe, then the remote
+// executor (if configured), then local computation through p, whose
+// phase-1 micro-sims resolve through their own cache layer first. The
+// returned Entry is exactly what the cache holds (or would hold, sans
+// cache dir), which is what lets a fleet worker ship its envelope to a
+// coordinator that then stores byte-identical entries. The bool
+// reports whether any cache — local or a remote worker's — answered
+// the cell.
+//
+// A remote failure falls back to local computation. A nil p (or one
+// without Compute) marks a cell the caller cannot compute locally; it
+// fails unless it is cached or remotely executable.
+//
+// tr (nil: untraced) records a span per stage — cache probe, remote
+// dispatch, compute, cache write — and the breakdown is journaled with
+// the completion. A non-zero deadline reaches the remote for placement
+// only. Neither ever changes what is computed or cached.
+func (e *Engine) Resolve(k Key, p *Plan, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
 	digest := k.Digest()
 
 	if e.cache != nil {
 		probe := time.Now()
 		if ent, ok := e.cache.GetEntry(digest); ok {
 			tr.StageDetail(telemetry.StageCache, probe, "hit")
-			e.finish(k, digest, true, false, 0, tr)
+			e.finish(k, digest, p, true, false, 0, tr)
 			return ent, true, nil
 		}
 		tr.StageDetail(telemetry.StageCache, probe, "miss")
 	}
 
+	computable := p != nil && p.Compute != nil
 	if e.remote != nil {
-		exec := e.remote.Exec
-		if dr, ok := e.remote.(DeadlineRemote); ok && !deadline.IsZero() {
-			exec = func(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
-				return dr.ExecDeadline(k, tr, deadline)
-			}
-		}
-		ent, remoteCached, err := exec(k, tr)
+		ent, remoteCached, err := e.remote.Exec(k, p.shardDigest(), tr, deadline)
 		if err == nil {
-			if e.cache != nil {
-				put := time.Now()
-				if perr := e.cache.Put(digest, ent); perr != nil {
-					e.stats.recordError()
-					return Entry{}, false, perr
-				}
-				tr.Stage(telemetry.StageSerialize, put)
+			if err := e.put(digest, ent, tr); err != nil {
+				return Entry{}, false, err
 			}
 			// Cached reports the worker's cache; WallSeconds is the
 			// worker's simulation time, so SimWallSeconds still sums
 			// real compute fleet-wide.
-			e.finish(k, digest, remoteCached, true, ent.WallSeconds, tr)
+			e.finish(k, digest, p, remoteCached, true, ent.WallSeconds, tr)
 			return ent, remoteCached, nil
 		}
-		if run == nil {
+		if !computable {
 			e.stats.recordError()
 			return Entry{}, false, err
 		}
 		// Remote exhausted its retries; fall back to computing locally so
 		// a coordinator outlives its whole fleet.
 	}
-
-	if run == nil {
+	if !computable {
 		e.stats.recordError()
 		return Entry{}, false, fmt.Errorf("cell %s not cached and not computable", digest[:12])
 	}
 
+	micro := make([]json.RawMessage, len(p.Micro))
+	for i, mt := range p.Micro {
+		raw, err := e.resolveMicro(mt, tr)
+		if err != nil {
+			e.stats.recordError()
+			return Entry{}, false, err
+		}
+		micro[i] = raw
+	}
+
 	start := time.Now()
-	raw, err := run()
+	raw, err := p.Compute(micro)
 	wall := time.Since(start).Seconds()
 	tr.Stage(telemetry.StageCompute, start)
 	if err != nil {
@@ -343,34 +295,58 @@ func (e *Engine) DoRawDeadline(k Key, run func() (json.RawMessage, error), tr *t
 		return Entry{}, false, err
 	}
 	ent := Entry{Key: k, WallSeconds: wall, Result: raw}
-	if e.cache != nil {
-		put := time.Now()
-		if err := e.cache.Put(digest, ent); err != nil {
-			e.stats.recordError()
-			return Entry{}, false, err
-		}
-		tr.Stage(telemetry.StageSerialize, put)
+	if err := e.put(digest, ent, tr); err != nil {
+		return Entry{}, false, err
 	}
-	e.finish(k, digest, false, false, wall, tr)
+	e.finish(k, digest, p, false, false, wall, tr)
 	return ent, false, nil
 }
 
+// put writes a resolved cell into the cache, if there is one.
+func (e *Engine) put(digest string, ent Entry, tr *telemetry.CellTrace) error {
+	if e.cache == nil {
+		return nil
+	}
+	start := time.Now()
+	if err := e.cache.Put(digest, ent); err != nil {
+		e.stats.recordError()
+		return err
+	}
+	tr.Stage(telemetry.StageSerialize, start)
+	return nil
+}
+
 // finish records accounting and journals the completion (with the
-// traced per-stage breakdown, when there is one).
-func (e *Engine) finish(k Key, digest string, cached, remote bool, wall float64, tr *telemetry.CellTrace) {
+// traced per-stage breakdown, when there is one). Every cell counts
+// once in Cells/Hits/Misses; a queueing cell also counts in the
+// phase-2 layer and journals layer="queueing" with the phase-1 digests
+// it was derived from.
+func (e *Engine) finish(k Key, digest string, p *Plan, cached, remote bool, wall float64, tr *telemetry.CellTrace) {
+	queueing := p != nil && p.Queueing
+	if queueing {
+		e.stats.recordQueueing(cached)
+	}
 	seq := e.stats.record(CellTiming{
 		Kind: k.Kind, Design: k.Design, Workload: k.Workload, Load: k.Load,
 		Cached: cached, Remote: remote, WallSeconds: wall,
 	})
-	if e.journal != nil {
-		// Journal failures are deliberately non-fatal: the journal is an
-		// observability artifact; resume correctness comes from the
-		// content-addressed cache entries themselves.
-		_ = e.journal.Append(JournalEntry{
-			Seq: seq, Digest: digest, Kind: k.Kind,
-			Design: k.Design, Workload: k.Workload, Load: k.Load,
-			Cached: cached, Remote: remote, WallSeconds: wall,
-			StagesUs: tr.StageTotalsUs(),
-		})
+	if e.journal == nil {
+		return
 	}
+	// Journal failures are deliberately non-fatal: the journal is an
+	// observability artifact; resume correctness comes from the
+	// content-addressed cache entries themselves.
+	je := JournalEntry{
+		Seq: seq, Digest: digest, Kind: k.Kind,
+		Design: k.Design, Workload: k.Workload, Load: k.Load,
+		Cached: cached, Remote: remote, WallSeconds: wall,
+		StagesUs: tr.StageTotalsUs(),
+	}
+	if queueing {
+		je.Layer = LayerQueueing
+		for _, mt := range p.Micro {
+			je.MicroDigests = append(je.MicroDigests, mt.Key.Digest())
+		}
+	}
+	_ = e.journal.Append(je)
 }

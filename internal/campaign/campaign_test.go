@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"duplexity/internal/telemetry"
 )
@@ -41,12 +43,12 @@ func tasksOf(n int, executed *atomic.Int64) []Task[result] {
 		i := i
 		tasks[i] = Task[result]{
 			Key: baseKey(i),
-			Run: func() (result, error) {
+			Plan: PlanFunc(func() (result, error) {
 				if executed != nil {
 					executed.Add(1)
 				}
 				return compute(i), nil
-			},
+			}),
 		}
 	}
 	return tasks
@@ -236,8 +238,8 @@ func TestResumeAfterFailure(t *testing.T) {
 	boom := errors.New("cell exploded")
 
 	tasks := tasksOf(12, &executed)
-	failing := tasks[7].Run
-	tasks[7].Run = func() (result, error) { return result{}, boom }
+	failing := tasks[7].Plan
+	tasks[7].Plan = PlanFunc(func() (result, error) { return result{}, boom })
 
 	e1, err := New(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
@@ -252,7 +254,7 @@ func TestResumeAfterFailure(t *testing.T) {
 	}
 
 	// "Fix the bug" and resume: only the unfinished cells simulate.
-	tasks[7].Run = failing
+	tasks[7].Plan = failing
 	e2, err := New(Options{Workers: 4, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +281,8 @@ func TestErrorIsLowestIndex(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	tasks := tasksOf(10, nil)
-	tasks[3].Run = func() (result, error) { return result{}, errB }
-	tasks[2].Run = func() (result, error) { return result{}, errA }
+	tasks[3].Plan = PlanFunc(func() (result, error) { return result{}, errB })
+	tasks[2].Plan = PlanFunc(func() (result, error) { return result{}, errA })
 	for _, workers := range []int{1, 8} {
 		e, err := New(Options{Workers: workers})
 		if err != nil {
@@ -382,16 +384,25 @@ func TestCacheLenCountsOnlyEntries(t *testing.T) {
 }
 
 // fakeRemote is a scriptable Remote: it answers from a prepared entry
-// table or returns a fixed error, counting calls either way.
+// table or returns a fixed error, counting calls and recording the
+// shard digest and deadline of each either way.
 type fakeRemote struct {
 	entries map[string]Entry // digest -> entry
 	cached  bool             // reported "worker cache hit" flag
 	err     error
 	calls   atomic.Int64
+
+	mu        sync.Mutex
+	shards    []string
+	deadlines []time.Time
 }
 
-func (f *fakeRemote) Exec(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
+func (f *fakeRemote) Exec(k Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
 	f.calls.Add(1)
+	f.mu.Lock()
+	f.shards = append(f.shards, shardDigest)
+	f.deadlines = append(f.deadlines, deadline)
+	f.mu.Unlock()
 	if f.err != nil {
 		return Entry{}, false, f.err
 	}
@@ -419,11 +430,11 @@ func TestRemoteExecutesAndCachesLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executed atomic.Int64
-	task := Task[result]{Key: k, Run: func() (result, error) {
+	task := Task[result]{Key: k, Plan: PlanFunc(func() (result, error) {
 		executed.Add(1)
 		return compute(0), nil
-	}}
-	r, cached, err := Do(e, task)
+	})}
+	r, cached, err := runOne(e, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,8 +459,8 @@ func TestRemoteExecutesAndCachesLocally(t *testing.T) {
 		t.Fatalf("local entry differs from remote envelope: %+v", ent)
 	}
 	// A second resolution hits the local cache, never the remote.
-	if _, cached, err := Do(e, task); err != nil || !cached {
-		t.Fatalf("second Do: cached=%v err=%v, want local hit", cached, err)
+	if _, cached, err := runOne(e, task); err != nil || !cached {
+		t.Fatalf("second resolution: cached=%v err=%v, want local hit", cached, err)
 	}
 	if rem.calls.Load() != 1 {
 		t.Fatalf("remote consulted again after local cache warm (%d calls)", rem.calls.Load())
@@ -470,7 +481,7 @@ func TestRemoteWorkerCacheHitCountsAsHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err := Do(e, Task[result]{Key: k, Run: func() (result, error) { return compute(3), nil }})
+	_, cached, err := runOne(e, Task[result]{Key: k, Plan: PlanFunc(func() (result, error) { return compute(3), nil })})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,15 +501,51 @@ func TestRemoteFailureFallsBackLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executed atomic.Int64
-	r, cached, err := Do(e, Task[result]{Key: baseKey(7), Run: func() (result, error) {
+	r, cached, err := runOne(e, Task[result]{Key: baseKey(7), Plan: PlanFunc(func() (result, error) {
 		executed.Add(1)
 		return compute(7), nil
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached || r != compute(7) || executed.Load() != 1 {
 		t.Fatalf("fallback wrong: cached=%v r=%+v executed=%d", cached, r, executed.Load())
+	}
+
+	// A plan with micros falls back through the phase-1 layer: the
+	// micro-sim simulates once, lands in the disk cache, and the second
+	// load sharing it hits the in-memory memo.
+	var microRuns atomic.Int64
+	for _, load := range []float64{0.3, 0.5} {
+		v, cached, err := runOne(e, Task[float64]{Key: twoPhaseKey(0, load), Plan: twoPhaseOf(0, load, &microRuns, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached || v != 0 {
+			t.Fatalf("two-phase fallback @%v: cached=%v v=%v", load, cached, v)
+		}
+	}
+	v, _, err := runOne(e, Task[float64]{Key: twoPhaseKey(1, 0.5), Plan: twoPhaseOf(1, 0.5, &microRuns, nil)})
+	if err != nil || v != 5 {
+		t.Fatalf("two-phase fallback family 1: v=%v err=%v, want 5", v, err)
+	}
+	if microRuns.Load() != 2 {
+		t.Fatalf("micro-sims simulated %d times, want 2 (one per family)", microRuns.Load())
+	}
+	if _, ok := e.cache.GetEntry(microKey(0).Digest()); !ok {
+		t.Fatal("fallback micro-sim not written to the disk cache")
+	}
+	st := e.Stats()
+	if st.MicrosimMisses != 2 || st.MicrosimHits != 1 || st.QueueingMisses != 3 {
+		t.Fatalf("per-layer counters micro %d hits/%d misses, queueing %d misses, want 1/2/3",
+			st.MicrosimHits, st.MicrosimMisses, st.QueueingMisses)
+	}
+
+	// The remote ranked each cell on its first micro's digest, or on
+	// its own ("") without micros.
+	want := []string{"", microKey(0).Digest(), microKey(0).Digest(), microKey(1).Digest()}
+	if !reflect.DeepEqual(rem.shards, want) {
+		t.Fatalf("remote shard digests = %q, want %q", rem.shards, want)
 	}
 }
 
@@ -508,7 +555,12 @@ func TestRemoteFailureWithoutRunBodyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.DoRaw(baseKey(9), nil); err == nil {
+	deadline := time.Now().Add(time.Minute)
+	if _, _, err := e.Resolve(baseKey(9), nil, nil, deadline); err == nil {
 		t.Fatal("uncomputable cell with dead remote should error")
+	}
+	// The deadline reaches the remote unchanged, for placement only.
+	if len(rem.deadlines) != 1 || !rem.deadlines[0].Equal(deadline) {
+		t.Fatalf("remote deadlines = %v, want [%v]", rem.deadlines, deadline)
 	}
 }

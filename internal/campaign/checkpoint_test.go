@@ -18,8 +18,8 @@ func TestCheckpointOnCleanCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := []Task[int]{
-		{Key: testKey("cp", 1), Run: func() (int, error) { return 1, nil }},
-		{Key: testKey("cp", 2), Run: func() (int, error) { return 2, nil }},
+		{Key: testKey("cp", 1), Plan: PlanFunc(func() (int, error) { return 1, nil })},
+		{Key: testKey("cp", 2), Plan: PlanFunc(func() (int, error) { return 2, nil })},
 	}
 	if _, err := Run(e, tasks); err != nil {
 		t.Fatal(err)
@@ -51,11 +51,11 @@ func TestCheckpointOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Do(e, Task[int]{Key: testKey("cp", 3), Run: func() (int, error) { return 3, nil }}); err != nil {
+	if _, _, err := runOne(e, Task[int]{Key: testKey("cp", 3), Plan: PlanFunc(func() (int, error) { return 3, nil })}); err != nil {
 		t.Fatal(err)
 	}
-	// No checkpoint yet: Do is the async path, flushing is the
-	// server's drain responsibility.
+	// No checkpoint yet: a single-cell resolution is the serve layer's
+	// async path, and flushing is the server's drain responsibility.
 	if cp, err := ReadCheckpoint(dir); err != nil || cp != nil {
 		t.Fatalf("unexpected checkpoint before drain: %v, %v", cp, err)
 	}
@@ -86,9 +86,10 @@ func TestCheckpointNoCache(t *testing.T) {
 	}
 }
 
-// TestDoCacheAndJournalIncomplete: Do shares cache accounting with Run,
-// and JournalIncomplete leaves an auditable journal record without
-// perturbing hit/miss counts.
+// TestDoCacheAndJournalIncomplete: resolving a single cell outside a
+// Run batch shares cache accounting with Run, and JournalIncomplete
+// leaves an auditable journal record without perturbing hit/miss
+// counts.
 func TestDoCacheAndJournalIncomplete(t *testing.T) {
 	dir := t.TempDir()
 	e, err := New(Options{Workers: 1, CacheDir: dir})
@@ -97,14 +98,14 @@ func TestDoCacheAndJournalIncomplete(t *testing.T) {
 	}
 	k := testKey("do", 7)
 	calls := 0
-	task := Task[int]{Key: k, Run: func() (int, error) { calls++; return 42, nil }}
-	v, cached, err := Do(e, task)
+	task := Task[int]{Key: k, Plan: PlanFunc(func() (int, error) { calls++; return 42, nil })}
+	v, cached, err := runOne(e, task)
 	if err != nil || v != 42 || cached {
-		t.Fatalf("first Do = (%d, %v, %v), want (42, false, nil)", v, cached, err)
+		t.Fatalf("first resolution = (%d, %v, %v), want (42, false, nil)", v, cached, err)
 	}
-	v, cached, err = Do(e, task)
+	v, cached, err = runOne(e, task)
 	if err != nil || v != 42 || !cached {
-		t.Fatalf("second Do = (%d, %v, %v), want (42, true, nil)", v, cached, err)
+		t.Fatalf("second resolution = (%d, %v, %v), want (42, true, nil)", v, cached, err)
 	}
 	if calls != 1 {
 		t.Errorf("Run called %d times, want 1", calls)

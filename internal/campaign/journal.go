@@ -34,8 +34,7 @@ type JournalEntry struct {
 	// Layer marks which cache layer of a two-phase cell this line
 	// records: LayerMicrosim for a phase-1 micro-sim resolution,
 	// LayerQueueing for the whole-cell (phase-2) completion. Empty for
-	// legacy single-phase cells, so pre-split journal lines are
-	// unchanged.
+	// cells that are neither (matrix and slowdown cells).
 	Layer string `json:"layer,omitempty"`
 	// MicroDigests lists the phase-1 digests a queueing-layer cell was
 	// derived from, in dependency order.

@@ -34,11 +34,10 @@ type Summary struct {
 	Remote int `json:"remote,omitempty"`
 	Errors int `json:"errors,omitempty"`
 	// Per-layer counters for two-phase cells. Micro-sim resolutions are
-	// accounted here only — never in Cells/Hits/Misses, which still
-	// count whole cells — so a two-phase campaign's legacy totals stay
-	// comparable with single-phase runs. A queueing hit/miss is recorded
-	// alongside the legacy hit/miss for every two-phase cell; legacy
-	// single-phase cells touch neither layer.
+	// accounted here only — never in Cells/Hits/Misses, which count whole
+	// cells. A queueing hit/miss is recorded alongside the legacy
+	// hit/miss for every queueing cell (Plan.Queueing); other cells touch
+	// neither layer.
 	MicrosimHits   int `json:"microsim_hits,omitempty"`
 	MicrosimMisses int `json:"microsim_misses,omitempty"`
 	QueueingHits   int `json:"queueing_hits,omitempty"`

@@ -5,15 +5,16 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+	"time"
 
 	"duplexity/internal/telemetry"
 )
 
-// TestDoRawTracedSpansAndJournal checks the engine's side of the trace
+// TestResolveTracedSpansAndJournal checks the engine's side of the trace
 // contract: a cold cell records cache(miss)+compute+serialize spans, a
 // warm repeat records cache(hit) only, the journal line carries the
 // stage breakdown, and the cached bytes are identical traced or not.
-func TestDoRawTracedSpansAndJournal(t *testing.T) {
+func TestResolveTracedSpansAndJournal(t *testing.T) {
 	dir := t.TempDir()
 	e, err := New(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
@@ -21,10 +22,10 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 	}
 	k := baseKey(0)
 	raw := json.RawMessage(`{"v":1}`)
-	run := func() (json.RawMessage, error) { return raw, nil }
+	plan := &Plan{Compute: func([]json.RawMessage) (json.RawMessage, error) { return raw, nil }}
 
 	tr := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	ent, cached, err := e.DoRawTraced(k, run, tr)
+	ent, cached, err := e.Resolve(k, plan, tr, time.Time{})
 	if err != nil || cached {
 		t.Fatalf("cold cell: cached=%v err=%v", cached, err)
 	}
@@ -49,7 +50,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 
 	// Warm repeat: cache hit, no compute span, separate trace.
 	tr2 := telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
-	ent2, cached, err := e.DoRawTraced(k, run, tr2)
+	ent2, cached, err := e.Resolve(k, plan, tr2, time.Time{})
 	if err != nil || !cached {
 		t.Fatalf("warm cell: cached=%v err=%v", cached, err)
 	}
@@ -92,7 +93,7 @@ func TestDoRawTracedSpansAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e2.DoRaw(k, run); err != nil {
+	if _, _, err := e2.Resolve(k, plan, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	read := func(dir string) []byte {

@@ -31,38 +31,56 @@ import (
 //     encoding means every cache written before the split keeps
 //     hitting, byte for byte.
 //
-// The phase-2 entry's bytes must decode to exactly what the monolithic
-// cell produced; TestTwoPhaseByteIdentity in internal/expt pins this
-// for every decomposed cell kind.
+// The phase-2 entry's bytes are pinned per decomposed cell kind by
+// golden digests in internal/expt's TestTwoPhaseByteIdentity.
 
-// MicroTask is one phase-1 dependency of a two-phase cell: the
-// micro-sim's own cache key and the function that measures it. Run must
-// be deterministic from the key alone (the standard cell contract).
+// MicroTask is one phase-1 dependency of a cell: the micro-sim's own
+// cache key and the function that measures it. Run must be
+// deterministic from the key alone (the standard cell contract).
 type MicroTask struct {
 	Key Key
 	Run func() (json.RawMessage, error)
 }
 
-// TwoPhase describes a cell computed in two cached stages. Micro lists
-// the phase-1 dependencies in a fixed order; Queue receives their raw
-// results in that order and computes the cell's final result. Queue
-// must produce bytes identical to the monolithic computation of the
-// same cell.
-type TwoPhase struct {
-	Micro []MicroTask
-	Queue func(micro []json.RawMessage) (json.RawMessage, error)
+// Plan says how the engine computes a cell on a miss. Micro lists the
+// phase-1 dependencies in a fixed order; Compute receives their raw
+// results in that order and returns the cell's result bytes. A plan
+// with no micros computes the cell in one step.
+//
+// Queueing marks a phase-2 (queueing) cell: it counts in the
+// per-layer Queueing* counters and journals layer="queueing". It is
+// separate from len(Micro) > 0 because a baseline tail cell needs no
+// micro-sim (its slowdown is 1.0 by definition) yet is still a
+// queueing cell.
+type Plan struct {
+	Micro    []MicroTask
+	Compute  func(micro []json.RawMessage) (json.RawMessage, error)
+	Queueing bool
 }
 
-// ShardedRemote is an optional Remote refinement for two-phase cells:
-// ExecSharded behaves like Exec/ExecDeadline but ranks workers by
-// shardDigest — the cell's first phase-1 digest — instead of the cell's
-// own digest, so every load fanned out from one micro-sim lands on the
-// worker whose disk cache already holds (or is computing) that
-// micro-sim. Identity, verification, and L1 coalescing still use the
-// cell's own digest.
-type ShardedRemote interface {
-	Remote
-	ExecSharded(k Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error)
+// PlanFunc is the zero-micro, non-queueing plan that computes a cell by
+// calling run and JSON-encoding its result.
+func PlanFunc[R any](run func() (R, error)) *Plan {
+	return &Plan{Compute: func([]json.RawMessage) (json.RawMessage, error) {
+		r, err := run()
+		if err != nil {
+			return nil, err
+		}
+		raw, err := json.Marshal(r)
+		if err != nil {
+			return nil, fmt.Errorf("encoding result: %w", err)
+		}
+		return raw, nil
+	}}
+}
+
+// shardDigest is the digest a remote ranks this cell's placement on:
+// the first phase-1 digest, or "" (the cell's own) without micros.
+func (p *Plan) shardDigest() string {
+	if p == nil || len(p.Micro) == 0 {
+		return ""
+	}
+	return p.Micro[0].Key.Digest()
 }
 
 // microFlight coalesces concurrent resolutions of one phase-1 digest:
@@ -72,93 +90,6 @@ type microFlight struct {
 	done chan struct{}
 	raw  json.RawMessage
 	err  error
-}
-
-// DoRawTwoPhase resolves a two-phase cell: phase-2 (whole-cell) cache
-// probe, then remote dispatch (sharded on the first phase-1 digest when
-// the remote supports it), then local computation — each phase-1
-// dependency resolved through its own cache layer (in-memory memo, disk
-// cache, singleflight, then simulation) before Queue combines them. The
-// returned Entry is byte-identical to what DoRaw would have produced
-// for the same cell computed monolithically. A nil tp (or nil tp.Queue)
-// is rejected; callers with no decomposition use DoRaw.
-func (e *Engine) DoRawTwoPhase(k Key, tp *TwoPhase, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
-	if tp == nil || tp.Queue == nil {
-		return Entry{}, false, fmt.Errorf("campaign: two-phase cell without a queue stage")
-	}
-	digest := k.Digest()
-
-	if e.cache != nil {
-		probe := time.Now()
-		if ent, ok := e.cache.GetEntry(digest); ok {
-			tr.StageDetail(telemetry.StageCache, probe, "hit")
-			e.stats.recordQueueing(true)
-			e.finishLayer(k, digest, true, false, 0, tr, tp)
-			return ent, true, nil
-		}
-		tr.StageDetail(telemetry.StageCache, probe, "miss")
-	}
-
-	if e.remote != nil {
-		exec := e.remote.Exec
-		if sr, ok := e.remote.(ShardedRemote); ok && len(tp.Micro) > 0 {
-			shard := tp.Micro[0].Key.Digest()
-			exec = func(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
-				return sr.ExecSharded(k, shard, tr, deadline)
-			}
-		} else if dr, ok := e.remote.(DeadlineRemote); ok && !deadline.IsZero() {
-			exec = func(k Key, tr *telemetry.CellTrace) (Entry, bool, error) {
-				return dr.ExecDeadline(k, tr, deadline)
-			}
-		}
-		ent, remoteCached, err := exec(k, tr)
-		if err == nil {
-			if e.cache != nil {
-				put := time.Now()
-				if perr := e.cache.Put(digest, ent); perr != nil {
-					e.stats.recordError()
-					return Entry{}, false, perr
-				}
-				tr.Stage(telemetry.StageSerialize, put)
-			}
-			e.stats.recordQueueing(remoteCached)
-			e.finishLayer(k, digest, remoteCached, true, ent.WallSeconds, tr, tp)
-			return ent, remoteCached, nil
-		}
-		// Remote exhausted its retries; fall through to local two-phase
-		// computation, exactly like the single-phase fallback.
-	}
-
-	micro := make([]json.RawMessage, len(tp.Micro))
-	for i, mt := range tp.Micro {
-		raw, err := e.resolveMicro(mt, tr)
-		if err != nil {
-			e.stats.recordError()
-			return Entry{}, false, err
-		}
-		micro[i] = raw
-	}
-
-	start := time.Now()
-	raw, err := tp.Queue(micro)
-	wall := time.Since(start).Seconds()
-	tr.Stage(telemetry.StageCompute, start)
-	if err != nil {
-		e.stats.recordError()
-		return Entry{}, false, err
-	}
-	ent := Entry{Key: k, WallSeconds: wall, Result: raw}
-	if e.cache != nil {
-		put := time.Now()
-		if err := e.cache.Put(digest, ent); err != nil {
-			e.stats.recordError()
-			return Entry{}, false, err
-		}
-		tr.Stage(telemetry.StageSerialize, put)
-	}
-	e.stats.recordQueueing(false)
-	e.finishLayer(k, digest, false, false, wall, tr, tp)
-	return ent, false, nil
 }
 
 // resolveMicro resolves one phase-1 dependency: in-memory memo, disk
@@ -243,31 +174,6 @@ func (e *Engine) finishMicro(k Key, digest string, cached bool, wall float64) {
 			Design: k.Design, Workload: k.Workload, Load: k.Load,
 			Cached: cached, WallSeconds: wall,
 			Layer: LayerMicrosim,
-		})
-	}
-}
-
-// finishLayer is finish for a two-phase cell: the legacy accounting
-// (the cell still counts once in Cells/Hits/Misses, so dashboards and
-// manifests that predate the split keep reading correctly) plus the
-// queueing-layer journal annotation and the phase-1 digests the cell
-// was derived from.
-func (e *Engine) finishLayer(k Key, digest string, cached, remote bool, wall float64, tr *telemetry.CellTrace, tp *TwoPhase) {
-	seq := e.stats.record(CellTiming{
-		Kind: k.Kind, Design: k.Design, Workload: k.Workload, Load: k.Load,
-		Cached: cached, Remote: remote, WallSeconds: wall,
-	})
-	if e.journal != nil {
-		var deps []string
-		for _, mt := range tp.Micro {
-			deps = append(deps, mt.Key.Digest())
-		}
-		_ = e.journal.Append(JournalEntry{
-			Seq: seq, Digest: digest, Kind: k.Kind,
-			Design: k.Design, Workload: k.Workload, Load: k.Load,
-			Cached: cached, Remote: remote, WallSeconds: wall,
-			StagesUs: tr.StageTotalsUs(),
-			Layer:    LayerQueueing, MicroDigests: deps,
 		})
 	}
 }

@@ -26,10 +26,12 @@ func twoPhaseKey(i int, load float64) Key {
 	return k
 }
 
-// twoPhaseOf builds a TwoPhase whose queue combines one micro result
-// with the load deterministically, counting executions of each stage.
-func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) *TwoPhase {
-	return &TwoPhase{
+// twoPhaseOf builds a queueing plan whose compute step combines one
+// micro result with the load deterministically, counting executions of
+// each stage.
+func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) *Plan {
+	return &Plan{
+		Queueing: true,
 		Micro: []MicroTask{{
 			Key: microKey(i),
 			Run: func() (json.RawMessage, error) {
@@ -39,7 +41,7 @@ func twoPhaseOf(i int, load float64, microRuns, queueRuns *atomic.Int64) *TwoPha
 				return json.Marshal(float64(i) * 10)
 			},
 		}},
-		Queue: func(micro []json.RawMessage) (json.RawMessage, error) {
+		Compute: func(micro []json.RawMessage) (json.RawMessage, error) {
 			if queueRuns != nil {
 				queueRuns.Add(1)
 			}
@@ -67,8 +69,8 @@ func TestTwoPhaseMicroComputedOnce(t *testing.T) {
 		for _, load := range loads {
 			i, load := i, load
 			tasks = append(tasks, Task[float64]{
-				Key:      twoPhaseKey(i, load),
-				TwoPhase: twoPhaseOf(i, load, &microRuns, &queueRuns),
+				Key:  twoPhaseKey(i, load),
+				Plan: twoPhaseOf(i, load, &microRuns, &queueRuns),
 			})
 		}
 	}
@@ -119,8 +121,8 @@ func TestTwoPhaseWarmAndGridChange(t *testing.T) {
 		for _, load := range loads {
 			load := load
 			tasks = append(tasks, Task[float64]{
-				Key:      twoPhaseKey(0, load),
-				TwoPhase: twoPhaseOf(0, load, &microRuns, nil),
+				Key:  twoPhaseKey(0, load),
+				Plan: twoPhaseOf(0, load, &microRuns, nil),
 			})
 		}
 		if _, err := Run(eng, tasks); err != nil {
@@ -160,16 +162,28 @@ func TestTwoPhaseWarmAndGridChange(t *testing.T) {
 }
 
 // The journal distinguishes the layers: micro resolutions append
-// layer="microsim" entries, two-phase cells layer="queueing" entries
-// carrying their phase-1 digests.
+// layer="microsim" entries, queueing cells layer="queueing" entries
+// carrying their phase-1 digests. A queueing cell with no micros (a
+// baseline tail cell) still counts in the queueing layer, never the
+// micro-sim one, and a non-queueing plan journals no layer.
 func TestTwoPhaseJournalLayers(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := New(Options{Workers: 1, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := Task[float64]{Key: twoPhaseKey(0, 0.5), TwoPhase: twoPhaseOf(0, 0.5, nil, nil)}
-	if _, err := Run(eng, []Task[float64]{task}); err != nil {
+	bare := twoPhaseKey(1, 0.5)
+	single := twoPhaseKey(2, 0.5)
+	single.Kind = "single"
+	tasks := []Task[float64]{
+		{Key: twoPhaseKey(0, 0.5), Plan: twoPhaseOf(0, 0.5, nil, nil)},
+		{Key: bare, Plan: &Plan{
+			Queueing: true,
+			Compute:  func([]json.RawMessage) (json.RawMessage, error) { return json.Marshal(1.0) },
+		}},
+		{Key: single, Plan: PlanFunc(func() (float64, error) { return 2, nil })},
+	}
+	if _, err := Run(eng, tasks); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := ReadJournal(eng.cache.JournalPath())
@@ -186,13 +200,32 @@ func TestTwoPhaseJournalLayers(t *testing.T) {
 			}
 		case LayerQueueing:
 			queueing++
-			if len(e.MicroDigests) != 1 || e.MicroDigests[0] != microKey(0).Digest() {
-				t.Fatalf("queueing entry micro_digests = %v", e.MicroDigests)
+			switch e.Digest {
+			case bare.Digest():
+				if len(e.MicroDigests) != 0 {
+					t.Fatalf("zero-micro queueing entry micro_digests = %v", e.MicroDigests)
+				}
+			default:
+				if len(e.MicroDigests) != 1 || e.MicroDigests[0] != microKey(0).Digest() {
+					t.Fatalf("queueing entry micro_digests = %v", e.MicroDigests)
+				}
+			}
+		case "":
+			if e.Digest != single.Digest() {
+				t.Fatalf("layerless journal entry for %s, want only the non-queueing cell", e.Digest)
 			}
 		}
 	}
-	if micros != 1 || queueing != 1 {
-		t.Fatalf("journal layers: %d microsim + %d queueing, want 1+1", micros, queueing)
+	if micros != 1 || queueing != 2 {
+		t.Fatalf("journal layers: %d microsim + %d queueing, want 1+2", micros, queueing)
+	}
+	st := eng.Stats()
+	if st.QueueingMisses != 2 || st.MicrosimMisses != 1 || st.MicrosimHits != 0 {
+		t.Fatalf("per-layer counters: queueing %d misses, micro-sim %d hits/%d misses, want 2 and 0/1",
+			st.QueueingMisses, st.MicrosimHits, st.MicrosimMisses)
+	}
+	if st.Cells != 3 || st.Misses != 3 {
+		t.Fatalf("legacy totals cells=%d misses=%d, want 3/3", st.Cells, st.Misses)
 	}
 }
 
@@ -216,13 +249,14 @@ func TestTwoPhaseSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tp := &TwoPhase{
-				Micro: []MicroTask{{Key: microKey(0), Run: slowMicro}},
-				Queue: func(micro []json.RawMessage) (json.RawMessage, error) {
+			p := &Plan{
+				Micro:    []MicroTask{{Key: microKey(0), Run: slowMicro}},
+				Queueing: true,
+				Compute: func(micro []json.RawMessage) (json.RawMessage, error) {
 					return micro[0], nil
 				},
 			}
-			_, _, errs[w] = eng.DoRawTwoPhase(twoPhaseKey(0, float64(w+1)/10), tp, nil, time.Time{})
+			_, _, errs[w] = eng.Resolve(twoPhaseKey(0, float64(w+1)/10), p, nil, time.Time{})
 		}()
 	}
 	wg.Wait()
@@ -236,16 +270,22 @@ func TestTwoPhaseSingleflight(t *testing.T) {
 	}
 }
 
-// A nil decomposition is rejected rather than silently miscached.
+// A cell without a compute step is rejected rather than silently
+// miscached, even when its micros could resolve.
 func TestTwoPhaseRejectsNil(t *testing.T) {
 	eng, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.DoRawTwoPhase(twoPhaseKey(0, 0.5), nil, nil, time.Time{}); err == nil {
-		t.Fatal("nil TwoPhase accepted")
+	if _, _, err := eng.Resolve(twoPhaseKey(0, 0.5), nil, nil, time.Time{}); err == nil {
+		t.Fatal("nil plan accepted")
 	}
-	if _, _, err := eng.DoRawTwoPhase(twoPhaseKey(0, 0.5), &TwoPhase{}, nil, time.Time{}); err == nil {
-		t.Fatal("TwoPhase without Queue accepted")
+	noCompute := twoPhaseOf(0, 0.5, nil, nil)
+	noCompute.Compute = nil
+	if _, _, err := eng.Resolve(twoPhaseKey(0, 0.5), noCompute, nil, time.Time{}); err == nil {
+		t.Fatal("plan without Compute accepted")
+	}
+	if st := eng.Stats(); st.Errors != 2 {
+		t.Fatalf("errors = %d, want 2", st.Errors)
 	}
 }

@@ -285,65 +285,21 @@ func (s *Suite) RunServedRawDeadline(cs CellSpec, tr *telemetry.CellTrace, deadl
 	}
 	key, design, spec, lambda := s.servedKeyFor(cs)
 
-	// Two-phase kinds resolve their slowdown micro-sims through the
-	// engine's phase-1 layer (shared across every served cell and CLI
-	// figure that needs them) unless the suite runs single-phase.
-	if !s.opts.SinglePhase {
-		var tp *campaign.TwoPhase
-		switch cs.Kind {
-		case KindTail:
-			tp = s.tailTwoPhase(design, spec, cs.Load, lambda)
-		case KindEnergyProp:
-			tp = s.energyTwoPhase(design, spec, cs.Governor, cs.Load)
-		}
-		if tp != nil {
-			ent, cached, err := s.eng.DoRawTwoPhase(key, tp, tr, deadline)
-			if err != nil {
-				return RawCellResult{}, err
-			}
-			return RawCellResult{
-				Digest: key.Digest(), Cached: cached,
-				WallSeconds: ent.WallSeconds, Result: ent.Result,
-			}, nil
-		}
-	}
-
-	var run func() (json.RawMessage, error)
+	// Tail and energyprop cells resolve their slowdown micro-sims through
+	// the engine's phase-1 layer, shared across every served cell and CLI
+	// figure that needs them.
+	var plan *campaign.Plan
 	switch cs.Kind {
 	case KindMatrix:
-		run = func() (json.RawMessage, error) {
-			c, err := s.runCell(design, spec, cs.Load)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}
+		plan = s.matrixPlan(design, spec, cs.Load)
 	case KindSlowdown:
-		run = func() (json.RawMessage, error) {
-			v, err := s.measureSlowdown(design, spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(v)
-		}
+		plan = s.slowdownPlan(design, spec)
 	case KindEnergyProp:
-		run = func() (json.RawMessage, error) {
-			c, err := s.runEnergyCell(design, spec, cs.Governor, cs.Load)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}
+		plan = s.energyPlan(design, spec, cs.Governor, cs.Load)
 	case KindTail:
-		run = func() (json.RawMessage, error) {
-			c, err := s.runTailCell(design, spec, cs.Load, lambda)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(c)
-		}
+		plan = s.tailPlan(design, spec, cs.Load, lambda)
 	}
-	ent, cached, err := s.eng.DoRawDeadline(key, run, tr, deadline)
+	ent, cached, err := s.eng.Resolve(key, plan, tr, deadline)
 	if err != nil {
 		return RawCellResult{}, err
 	}

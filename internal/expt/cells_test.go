@@ -128,10 +128,10 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	if cli.Err() != nil {
 		t.Fatal(cli.Err())
 	}
-	key := cli.cellKey("matrix", core.DesignBaseline, spec, load, "")
+	key := cli.cellKey(KindMatrix, core.DesignBaseline, spec, load, "")
 	if _, err := campaign.Run(cli.eng, []campaign.Task[cell]{{
-		Key: key,
-		Run: func() (cell, error) { return cli.runCell(core.DesignBaseline, spec, load) },
+		Key:  key,
+		Plan: cli.matrixPlan(core.DesignBaseline, spec, load),
 	}}); err != nil {
 		t.Fatal(err)
 	}

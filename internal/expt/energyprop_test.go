@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"duplexity/internal/campaign"
 	"duplexity/internal/core"
 	"duplexity/internal/idle"
 	"duplexity/internal/workload"
@@ -160,14 +161,19 @@ func TestEnergyQualitativeDeepVsFill(t *testing.T) {
 	}
 	s := NewSuite(Options{Scale: 0.01, Seed: 1})
 	spec := workload.Microservices()[2] // RSC
-	deep, err := s.runEnergyCell(core.DesignBaseline, spec, idle.GovDeep, 0.5)
+	task := func(d core.Design, gov string) campaign.Task[energyCell] {
+		return campaign.Task[energyCell]{
+			Key:  s.cellKey(KindEnergyProp, d, spec, 0.5, gov),
+			Plan: s.energyPlan(d, spec, gov, 0.5),
+		}
+	}
+	cells, err := campaign.Run(s.eng, []campaign.Task[energyCell]{
+		task(core.DesignBaseline, idle.GovDeep), task(core.DesignDuplexity, idle.GovFill),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fill, err := s.runEnergyCell(core.DesignDuplexity, spec, idle.GovFill, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deep, fill := cells[0], cells[1]
 	if deep.IdlePowerW >= fill.IdlePowerW {
 		t.Errorf("deep idle power %v W not below fill's %v W", deep.IdlePowerW, fill.IdlePowerW)
 	}

@@ -132,6 +132,19 @@ func (s *Suite) runCell(design core.Design, spec *workload.Spec, load float64) (
 	return c, nil
 }
 
+// matrixPlan computes one open-loop matrix cell in one step: the dyad
+// simulation is load-entangled, so it has no phase-1 micro-sim to share.
+func (s *Suite) matrixPlan(design core.Design, spec *workload.Spec, load float64) *campaign.Plan {
+	return campaign.PlanFunc(func() (cell, error) { return s.runCell(design, spec, load) })
+}
+
+// slowdownPlan computes one saturated closed-loop slowdown cell in one
+// step; the same measurement is the phase-1 micro-sim of tail and
+// energyprop cells (slowMicros).
+func (s *Suite) slowdownPlan(design core.Design, spec *workload.Spec) *campaign.Plan {
+	return campaign.PlanFunc(func() (float64, error) { return s.measureSlowdown(design, spec) })
+}
+
 // matrixTasks enumerates the full design × workload × load campaign in
 // canonical (paper) order.
 func (s *Suite) matrixTasks() []campaign.Task[cell] {
@@ -139,10 +152,9 @@ func (s *Suite) matrixTasks() []campaign.Task[cell] {
 	for _, design := range core.AllDesigns {
 		for _, spec := range workload.Microservices() {
 			for _, load := range Loads {
-				design, spec, load := design, spec, load
 				tasks = append(tasks, campaign.Task[cell]{
-					Key: s.cellKey("matrix", design, spec, load, ""),
-					Run: func() (cell, error) { return s.runCell(design, spec, load) },
+					Key:  s.cellKey(KindMatrix, design, spec, load, ""),
+					Plan: s.matrixPlan(design, spec, load),
 				})
 			}
 		}
@@ -169,11 +181,9 @@ func (s *Suite) Matrix() ([]cell, error) {
 
 // freqAdjSlowdown converts raw closed-loop cycles-per-request for a
 // design and the baseline into the frequency-adjusted service-time
-// inflation. Every consumer — Slowdowns(), the energyprop memo path,
-// and the two-phase queue closures that recompute the value from
-// cached phase-1 bytes — funnels through this one expression, so the
-// float arithmetic (and therefore cached cell bytes) is identical on
-// all of them.
+// inflation. Both consumers — Slowdowns() and the two-phase plans that
+// recompute the value from cached phase-1 bytes — funnel through this
+// one expression, so the float arithmetic is identical on both.
 func freqAdjSlowdown(design core.Design, v, base float64) float64 {
 	return (v / design.FreqGHz()) / (base / core.DesignBaseline.FreqGHz())
 }
@@ -224,10 +234,9 @@ func (s *Suite) Slowdowns() (map[slowKey]float64, error) {
 	var tasks []campaign.Task[float64]
 	for _, spec := range specs {
 		for _, design := range core.AllDesigns {
-			design, spec := design, spec
 			tasks = append(tasks, campaign.Task[float64]{
-				Key: s.cellKey("slowdown", design, spec, 0, ""),
-				Run: func() (float64, error) { return s.measureSlowdown(design, spec) },
+				Key:  s.cellKey(KindSlowdown, design, spec, 0, ""),
+				Plan: s.slowdownPlan(design, spec),
 			})
 		}
 	}
@@ -245,18 +254,6 @@ func (s *Suite) Slowdowns() (map[slowKey]float64, error) {
 	}
 	s.slowdowns = make(map[slowKey]float64)
 	s.serviceBase = make(map[string]float64)
-	// Seed the concurrent-safe raw memo too, so energyprop cells reuse
-	// these campaign-cached measurements instead of re-simulating.
-	s.slowMu.Lock()
-	if s.rawSlow == nil {
-		s.rawSlow = make(map[slowKey]float64)
-	}
-	for si, spec := range specs {
-		for di, design := range core.AllDesigns {
-			s.rawSlow[slowKey{design, spec.Name}] = svc[si*len(core.AllDesigns)+di]
-		}
-	}
-	s.slowMu.Unlock()
 	for si, spec := range specs {
 		base := svc[si*len(core.AllDesigns)+baseIdx]
 		s.serviceBase[spec.Name] = base

@@ -255,40 +255,26 @@ func (c *Coordinator) queuez(ctx context.Context, w *worker) (serve.Queuez, erro
 // verbatim by the engine. tr (nil for untraced callers) receives the
 // dispatch's remote spans, with the worker's shipped spans adopted as
 // children.
-func (c *Coordinator) Exec(k campaign.Key, tr *telemetry.CellTrace) (campaign.Entry, bool, error) {
-	return c.execDeadline(k, "", tr, time.Time{})
-}
-
-// ExecDeadline is the campaign.DeadlineRemote seam: identical routing
-// and result semantics to Exec, but the hedge threshold shrinks as the
-// deadline approaches (Hurry-up-style placement) — a straggling
-// deadline-lane cell is duplicated onto the next-ranked worker sooner
-// than the adaptive p99 threshold would on its own.
-func (c *Coordinator) ExecDeadline(k campaign.Key, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
+//
+// Workers are rendezvous-ranked on shardDigest — a two-phase cell's
+// first phase-1 micro-sim digest — or on the cell's own digest when it
+// is "". Every cell sharing a micro-sim family therefore lands on the
+// same worker, whose in-process phase-1 memo turns the family's
+// remaining micro resolutions into hits; ranking on cell digests would
+// scatter the family and re-simulate the micro-sims once per worker.
+// L1, singleflight, and the digest verification all still use the
+// cell's own content address.
+//
+// A non-zero deadline marks a deadline-lane cell: the hedge threshold
+// shrinks as the deadline approaches (Hurry-up-style placement), so a
+// straggling cell is duplicated onto the next-ranked worker sooner than
+// the adaptive p99 threshold would on its own.
+func (c *Coordinator) Exec(k campaign.Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
 	if !deadline.IsZero() {
 		c.deadlineCells.Add(1)
 	}
-	return c.execDeadline(k, "", tr, deadline)
-}
-
-// ExecSharded is the campaign.ShardedRemote seam: identical result
-// semantics to ExecDeadline, but workers are rendezvous-ranked on
-// shardDigest — a two-phase cell's first phase-1 micro-sim digest —
-// instead of the cell's own digest. Every cell sharing a micro-sim
-// family therefore lands on the same worker, whose in-process phase-1
-// memo turns the family's remaining micro resolutions into hits;
-// ranking on cell digests would scatter the family and re-simulate the
-// micro-sims once per worker. L1, singleflight, and the digest
-// verification all still use the cell's own content address.
-func (c *Coordinator) ExecSharded(k campaign.Key, shardDigest string, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
-	if !deadline.IsZero() {
-		c.deadlineCells.Add(1)
-	}
-	return c.execDeadline(k, shardDigest, tr, deadline)
-}
-
-func (c *Coordinator) execDeadline(k campaign.Key, rankDigest string, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
 	digest := k.Digest()
+	rankDigest := shardDigest
 	if rankDigest == "" {
 		rankDigest = digest
 	}

@@ -158,7 +158,7 @@ func TestShardingRoutesToHomeWorker(t *testing.T) {
 	for _, l := range loads {
 		k := keyFor(t, l)
 		home := rankWorkers(k.Digest(), c.workers)[0].name
-		ent, cached, err := c.Exec(k, nil)
+		ent, cached, err := c.Exec(k, "", nil, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestL1SingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ent, cached, err := c.Exec(k, nil)
+			ent, cached, err := c.Exec(k, "", nil, time.Time{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -218,7 +218,7 @@ func TestL1SingleflightCoalesces(t *testing.T) {
 		t.Errorf("cached followers = %d, want 4", cachedCount.Load())
 	}
 	// A later Exec answers from L1 without touching the fleet.
-	if _, cached, err := c.Exec(k, nil); err != nil || !cached {
+	if _, cached, err := c.Exec(k, "", nil, time.Time{}); err != nil || !cached {
 		t.Fatalf("L1 probe: cached=%v err=%v", cached, err)
 	}
 	if got := f.execCount(); got != 1 {
@@ -262,7 +262,7 @@ func TestHedgeStragglerFirstResultWins(t *testing.T) {
 	})
 
 	start := time.Now()
-	ent, cached, err := c.Exec(k, nil)
+	ent, cached, err := c.Exec(k, "", nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRetryReshardsOnWorkerFailure(t *testing.T) {
 
 	// Every cell must complete even when f1 eats all of its shard.
 	for _, l := range []float64{0.15, 0.25, 0.35, 0.45, 0.55, 0.65} {
-		if _, _, err := c.Exec(keyFor(t, l), nil); err != nil {
+		if _, _, err := c.Exec(keyFor(t, l), "", nil, time.Time{}); err != nil {
 			t.Fatalf("cell %g failed despite a healthy worker: %v", l, err)
 		}
 	}
@@ -320,7 +320,7 @@ func TestBackpressure429HalvesWindowAndRetries(t *testing.T) {
 	c := newTestCoordinator(t, Options{}, f)
 	// Grow the window first so the halving is observable.
 	for _, l := range []float64{0.11, 0.12, 0.13} {
-		if _, _, err := c.Exec(keyFor(t, l), nil); err != nil {
+		if _, _, err := c.Exec(keyFor(t, l), "", nil, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func TestBackpressure429HalvesWindowAndRetries(t *testing.T) {
 	})
 
 	start := time.Now()
-	if _, _, err := c.Exec(keyFor(t, 0.77), nil); err != nil {
+	if _, _, err := c.Exec(keyFor(t, 0.77), "", nil, time.Time{}); err != nil {
 		t.Fatalf("cell failed despite retry budget: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 500*time.Millisecond {
@@ -375,7 +375,7 @@ func TestDigestMismatchFatal(t *testing.T) {
 		return true
 	})
 	c := newTestCoordinator(t, Options{}, f)
-	if _, _, err := c.Exec(keyFor(t, 0.5), nil); err == nil {
+	if _, _, err := c.Exec(keyFor(t, 0.5), "", nil, time.Time{}); err == nil {
 		t.Fatal("digest drift must be a hard error, never cached")
 	}
 	if st := c.Stats(); st.L1Entries != 0 {

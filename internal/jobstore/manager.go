@@ -106,14 +106,26 @@ func (j *Job) statusLocked() JobStatus {
 // Next returns the result lines from index from onward that are ready,
 // whether the job is finished, and a channel that closes on the next
 // advance — the same contract the serve stream loop has always used.
+// A finished job never advances again, so its channel is already
+// closed: a caller that sampled Status before the final wake cannot
+// block on it forever.
 func (j *Job) Next(from int) (lines []json.RawMessage, done bool, wait <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < j.ready {
 		lines = append(lines, j.lines[from:j.ready]...)
 	}
-	return lines, j.finalized, j.notify
+	if j.finalized {
+		return lines, true, closedChan
+	}
+	return lines, false, j.notify
 }
+
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // setLine records a resolved cell's stream line and advances the ready
 // prefix past every contiguously resolved cell. Caller holds j.mu.
@@ -264,25 +276,28 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 			jobID: id, index: i, cell: cs, deadline: spec.Deadline, queued: now,
 		})
 	}
-	if err := m.sched.AddJob(spec.Tenant, sj, spec.Lane, false); err != nil {
-		return nil, err
-	}
-
-	if spec.Durable && m.store != nil {
-		rec := m.record(j)
-		if err := m.store.Put(rec); err != nil {
-			// The job is already queued; losing durability is worse than
-			// failing the submission, so unwind it.
-			m.sched.CancelJob(spec.Tenant, id)
-			m.sched.JobDone(spec.Tenant)
-			return nil, err
-		}
-	}
-
+	// Register (and persist) the job before the scheduler can dispatch
+	// any of its cells: a fast Exec reaches complete(), which drops the
+	// result of a job it cannot find, and a terminal record written by
+	// finalize must never be overwritten by this submission's own.
 	m.mu.Lock()
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.mu.Unlock()
+	durable := spec.Durable && m.store != nil
+	if durable {
+		if err := m.store.Put(m.record(j)); err != nil {
+			m.forget(id)
+			return nil, err
+		}
+	}
+	if err := m.sched.AddJob(spec.Tenant, sj, spec.Lane, false); err != nil {
+		m.forget(id)
+		if durable {
+			_ = m.store.Reap(id)
+		}
+		return nil, err
+	}
 	m.submitted.Add(1)
 	return j, nil
 }
@@ -650,19 +665,24 @@ func (m *Manager) gcOnce(now time.Time) {
 }
 
 func (m *Manager) reap(j *Job) {
+	m.forget(j.id)
+	if j.durable && m.store != nil {
+		_ = m.store.Reap(j.id)
+	}
+	m.reapedJobs.Add(1)
+}
+
+// forget unregisters a job from the in-memory index.
+func (m *Manager) forget(jobID string) {
 	m.mu.Lock()
-	delete(m.jobs, j.id)
+	delete(m.jobs, jobID)
 	for i, id := range m.order {
-		if id == j.id {
+		if id == jobID {
 			m.order = append(m.order[:i], m.order[i+1:]...)
 			break
 		}
 	}
 	m.mu.Unlock()
-	if j.durable && m.store != nil {
-		_ = m.store.Reap(j.id)
-	}
-	m.reapedJobs.Add(1)
 }
 
 // Stop closes the scheduler, cancels still-pending ephemeral cells

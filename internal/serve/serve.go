@@ -14,9 +14,11 @@
 //   - Coalesce: concurrent identical submissions (same SHA-256 cache
 //     key) share one in-flight simulation with singleflight semantics;
 //     afterwards the content-addressed on-disk cache answers repeats.
-//   - Pool: a fixed worker pool executes cells through
-//     campaign.Do — the same cache, journal, and accounting as CLI
-//     batches, so served results are byte-identical to CLI runs.
+//   - Pool: a fixed worker pool executes cells through the campaign
+//     engine's one resolver (campaign.Engine.Resolve, via
+//     expt.Suite.RunServedDeadline) — the same cache, journal, and
+//     accounting as CLI batches, so served results are byte-identical
+//     to CLI runs.
 //
 // One bad cell cannot take the daemon down: worker panics are caught,
 // journaled, and surfaced as request errors while sibling cells keep

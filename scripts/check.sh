@@ -33,10 +33,10 @@ echo "== go test -race (telemetry, core, campaign, expt, serve, e2e) =="
 # race-relevant code paths (telemetry emission, collection, spans) are
 # covered by the telemetry suite and the root TestE2E tests below.
 go test -race -short -timeout 15m ./internal/telemetry/... ./internal/core/...
-# The quick three-way execution-mode equivalence check (stepped vs
-# fast-forward vs discrete-event engine) is sized to run under the race
-# detector and is named explicitly so a -short or -run tweak above can
-# never silently drop it from the raced gate.
+# The quick execution-mode equivalence check (stepped vs the
+# discrete-event engine) is sized to run under the race detector and is
+# named explicitly so a -short or -run tweak above can never silently
+# drop it from the raced gate.
 go test -race -run 'TestEventEquivalenceQuick' -timeout 15m ./internal/core
 # The campaign engine fans simulation cells across a worker pool; these
 # suites run real cycle-level cells concurrently (full-matrix tests
@@ -74,7 +74,7 @@ go test -race -timeout 15m ./internal/idle ./internal/queueing ./internal/power
 # name the trace suites explicitly so a -run filter tweak above can
 # never silently drop them from the raced gate.
 go test -race -timeout 15m \
-    -run 'TestTracez|TestCoalescedFollowerTrace|TestTracingOff|TestMetricsz|TestHedgedTrace|TestE2EFleetStitched|TestDoRawTraced|TestLockedRing' \
+    -run 'TestTracez|TestCoalescedFollowerTrace|TestTracingOff|TestMetricsz|TestHedgedTrace|TestE2EFleetStitched|TestResolveTraced|TestLockedRing' \
     ./internal/serve ./internal/fleet ./internal/campaign ./internal/telemetry
 
 echo "== energyprop smoke =="
