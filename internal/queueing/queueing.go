@@ -144,6 +144,12 @@ func Simulate(cfg Config) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
+	// Resolve the distributions once: the per-request draws then skip
+	// re-deriving parameters (a lognormal's mu and sigma) every sample.
+	c.ServiceUs = stats.Resolve(c.ServiceUs)
+	if c.ExtraUs != nil {
+		c.ExtraUs = stats.Resolve(c.ExtraUs)
+	}
 	rng := stats.NewRNG(c.Seed)
 	rec := stats.NewLatencyRecorder(c.MinRequests * 2)
 
@@ -251,12 +257,13 @@ func Simulate(cfg Config) (Result, error) {
 }
 
 func (c Config) finish(rec *stats.LatencyRecorder, busy, queueArea, elapsed float64, converged bool) Result {
-	p99, lo, hi := rec.QuantileCI(0.99, 1.96)
+	var p [3]float64
+	lo, hi := rec.QuantilesCI(1.96, []float64{0.50, 0.95, 0.99}, p[:])
 	return Result{
 		MeanUs:         rec.Mean(),
-		P50Us:          rec.Quantile(0.50),
-		P95Us:          rec.Quantile(0.95),
-		P99Us:          p99,
+		P50Us:          p[0],
+		P95Us:          p[1],
+		P99Us:          p[2],
 		P99LoUs:        lo,
 		P99HiUs:        hi,
 		Utilization:    busy / elapsed,

@@ -85,6 +85,36 @@ func (l Lognormal) Sample(r *RNG) float64 {
 // Mean implements Distribution.
 func (l Lognormal) Mean() float64 { return l.MeanVal }
 
+// resolvedLognormal is a Lognormal with its parameters derived once;
+// it samples bit-identically to the Lognormal it was resolved from.
+type resolvedLognormal struct {
+	Lognormal
+	mu, sigma float64
+}
+
+// Sample implements Distribution.
+func (l resolvedLognormal) Sample(r *RNG) float64 {
+	return math.Exp(l.mu + l.sigma*r.NormFloat64())
+}
+
+// Resolve returns a distribution that draws bit-identically to d — the
+// same values from the same generator state — with parameters derived
+// once rather than per sample, for hot sampling loops. It resolves
+// Lognormal (directly or under Scaled/Shifted wrappers) and returns
+// any other distribution unchanged.
+func Resolve(d Distribution) Distribution {
+	switch d := d.(type) {
+	case Lognormal:
+		mu, sigma := d.params()
+		return resolvedLognormal{d, mu, sigma}
+	case Scaled:
+		return Scaled{Base: Resolve(d.Base), Factor: d.Factor}
+	case Shifted:
+		return Shifted{Base: Resolve(d.Base), Shift: d.Shift}
+	}
+	return d
+}
+
 func (l Lognormal) String() string {
 	return fmt.Sprintf("Lognormal(mean=%g,cv=%g)", l.MeanVal, l.CV)
 }

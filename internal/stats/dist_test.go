@@ -157,3 +157,27 @@ func TestEmpiricalSingle(t *testing.T) {
 		t.Fatal("single-point empirical should always return the point")
 	}
 }
+
+// TestResolveBitIdentical checks that a resolved distribution draws the
+// same bits from the same generator state as the one it came from, and
+// keeps its mean and description, under nested Scaled/Shifted wrappers.
+func TestResolveBitIdentical(t *testing.T) {
+	for _, d := range []Distribution{
+		Lognormal{MeanVal: 10, CV: 0.5},
+		Lognormal{MeanVal: 3, CV: 2},
+		Scaled{Base: Lognormal{MeanVal: 10, CV: 1}, Factor: 1.37},
+		Shifted{Base: Scaled{Base: Lognormal{MeanVal: 2, CV: 1.5}, Factor: 0.9}, Shift: 0.25},
+		Exponential{MeanVal: 4},
+	} {
+		res := Resolve(d)
+		if res.Mean() != d.Mean() || res.String() != d.String() {
+			t.Errorf("%s: resolved to mean %v %q", d, res.Mean(), res.String())
+		}
+		a, b := NewRNG(17), NewRNG(17)
+		for i := 0; i < 10000; i++ {
+			if x, y := d.Sample(a), res.Sample(b); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("%s: draw %d = %v, resolved %v", d, i, x, y)
+			}
+		}
+	}
+}

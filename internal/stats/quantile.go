@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -10,31 +12,41 @@ import (
 // repository produce at most a few million observations), which makes
 // quantiles exact — important for 99th-percentile comparisons.
 //
-// Storage is split into a sorted prefix and an unsorted tail of recent
-// Adds: a quantile query sorts only the tail and merges it into the
-// prefix in one linear pass. Periodic convergence checks over a growing
-// sample set (the BigHouse stopping criterion polls every few thousand
-// requests) therefore cost O(tail log tail + n) per check instead of
-// re-sorting all n samples every time.
+// Samples live in one unsorted buffer. A query places only the order
+// statistics it reads, by in-place multi-rank selection (nth_element),
+// in expected O(n) per query instead of a sort. Placed ranks are
+// remembered until the next Add: a repeated query reads them directly,
+// and a new rank is selected only within the gap between its placed
+// neighbours. The BigHouse stopping criterion polls the p99 and its CI
+// every few thousand requests, so each poll costs one linear pass.
 type LatencyRecorder struct {
-	sorted []float64 // ascending; the merged prefix
-	tail   []float64 // observations since the last merge
-	sum    float64
+	buf []float64
+	sum float64
+	// placed lists, ascending, the ranks k whose order statistic sits
+	// at buf[k] with buf[:k] <= buf[k] <= buf[k+1:]. Add clears it.
+	placed []int
+	sorted bool // buf is ascending; Add clears it
+	nan    bool // a NaN was added; queries fall back to sorting
 }
 
 // NewLatencyRecorder returns a recorder with capacity hint n.
 func NewLatencyRecorder(n int) *LatencyRecorder {
-	return &LatencyRecorder{sorted: make([]float64, 0, n)}
+	return &LatencyRecorder{buf: make([]float64, 0, n)}
 }
 
 // Add records one latency observation.
 func (l *LatencyRecorder) Add(x float64) {
-	l.tail = append(l.tail, x)
+	l.buf = append(l.buf, x)
 	l.sum += x
+	l.placed = l.placed[:0]
+	l.sorted = false
+	if x != x {
+		l.nan = true
+	}
 }
 
 // Count returns the number of observations.
-func (l *LatencyRecorder) Count() int { return len(l.sorted) + len(l.tail) }
+func (l *LatencyRecorder) Count() int { return len(l.buf) }
 
 // Mean returns the mean latency (NaN if empty).
 func (l *LatencyRecorder) Mean() float64 {
@@ -44,32 +56,14 @@ func (l *LatencyRecorder) Mean() float64 {
 	return l.sum / float64(l.Count())
 }
 
-// ensureSorted folds the unsorted tail into the sorted prefix: sort the
-// tail, then merge backwards in place (largest first), so the merge
-// needs no scratch buffer and never moves an element twice.
-func (l *LatencyRecorder) ensureSorted() {
-	if len(l.tail) == 0 {
-		return
-	}
-	sort.Float64s(l.tail)
-	n, t := len(l.sorted), len(l.tail)
-	l.sorted = append(l.sorted, l.tail...)
-	for i, j, k := n-1, t-1, n+t-1; j >= 0; k-- {
-		if i >= 0 && l.sorted[i] > l.tail[j] {
-			l.sorted[k] = l.sorted[i]
-			i--
-		} else {
-			l.sorted[k] = l.tail[j]
-			j--
-		}
-	}
-	l.tail = l.tail[:0]
-}
-
 // Quantile returns the q-quantile of the recorded samples.
 func (l *LatencyRecorder) Quantile(q float64) float64 {
-	l.ensureSorted()
-	return Quantile(l.sorted, q)
+	if len(l.buf) == 0 {
+		return math.NaN()
+	}
+	i, j, frac := quantileRanks(len(l.buf), q)
+	l.place(i, j)
+	return interpolate(l.buf, i, j, frac)
 }
 
 // P99 returns the 99th percentile, the paper's headline tail metric.
@@ -79,24 +73,154 @@ func (l *LatencyRecorder) P99() float64 { return l.Quantile(0.99) }
 // binomial order-statistic method at confidence z (e.g. 1.96 for 95%).
 // It returns the point estimate and the interval bounds.
 func (l *LatencyRecorder) QuantileCI(q, z float64) (est, lo, hi float64) {
-	l.ensureSorted()
-	n := len(l.sorted)
+	var e [1]float64
+	lo, hi = l.QuantilesCI(z, []float64{q}, e[:])
+	return e[0], lo, hi
+}
+
+// QuantilesCI writes the qs[i]-quantile to ests[i] and returns the
+// z-level confidence interval of the last quantile in qs, as QuantileCI
+// does, placing every order statistic involved in one multi-rank
+// selection. It reports NaNs when the recorder is empty.
+func (l *LatencyRecorder) QuantilesCI(z float64, qs, ests []float64) (lo, hi float64) {
+	n := len(l.buf)
 	if n == 0 {
-		nan := math.NaN()
-		return nan, nan, nan
+		for i := range qs {
+			ests[i] = math.NaN()
+		}
+		return math.NaN(), math.NaN()
 	}
-	est = Quantile(l.sorted, q)
+	var stack [16]int
+	ranks := stack[:0]
+	for _, q := range qs {
+		i, j, _ := quantileRanks(n, q)
+		ranks = append(ranks, i, j)
+	}
 	// Order-statistic indices: q*n +/- z*sqrt(n*q*(1-q)).
+	q := qs[len(qs)-1]
 	sd := z * math.Sqrt(float64(n)*q*(1-q))
-	loIdx := int(math.Floor(q*float64(n) - sd))
-	hiIdx := int(math.Ceil(q*float64(n) + sd))
-	if loIdx < 0 {
-		loIdx = 0
+	// Both ends clamp both ways: at q = 1 the lower index is n.
+	loIdx := min(max(int(math.Floor(q*float64(n)-sd)), 0), n-1)
+	hiIdx := min(max(int(math.Ceil(q*float64(n)+sd)), 0), n-1)
+	l.place(append(ranks, loIdx, hiIdx)...)
+	for k, q := range qs {
+		i, j, frac := quantileRanks(n, q)
+		ests[k] = interpolate(l.buf, i, j, frac)
 	}
-	if hiIdx > n-1 {
-		hiIdx = n - 1
+	return l.buf[loIdx], l.buf[hiIdx]
+}
+
+// place puts the order statistic of every rank in ranks at its index.
+// Ranks placed since the last Add cost a binary search; a new rank is
+// selected only within the gap between its placed neighbours, and ranks
+// are taken in ascending order so each bounds the next.
+func (l *LatencyRecorder) place(ranks ...int) {
+	if l.sorted {
+		return
 	}
-	return est, l.sorted[loIdx], l.sorted[hiIdx]
+	if l.nan {
+		// Selection's comparisons assume a total order; sort.Float64s
+		// defines the order NaNs take.
+		sort.Float64s(l.buf)
+		l.sorted = true
+		return
+	}
+	slices.Sort(ranks)
+	for _, k := range ranks {
+		pos, found := slices.BinarySearch(l.placed, k)
+		if found {
+			continue
+		}
+		lo, hi := 0, len(l.buf)
+		if pos > 0 {
+			lo = l.placed[pos-1] + 1
+		}
+		if pos < len(l.placed) {
+			hi = l.placed[pos]
+		}
+		nthElement(l.buf[lo:hi], k-lo, 2*bits.Len(uint(hi-lo)))
+		l.placed = slices.Insert(l.placed, pos, k)
+	}
+}
+
+// nthElement permutes a so that a[k] is its k-th smallest element, with
+// a[:k] <= a[k] <= a[k+1:]: Hoare partitioning around a sampled pivot,
+// narrowing to the side that holds k. After budget passes it sorts what
+// is left; callers pass 2*log2(len(a)), bounding adversarial inputs at
+// O(n log n). a holds no NaN.
+func nthElement(a []float64, k, budget int) {
+	lo, hi := 0, len(a)-1
+	for ; hi > lo; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		p := pivot(a[lo:hi+1], k-lo)
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for p < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= p <= a[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// pivot picks a partitioning value, one of a's elements, for placing
+// rank k. Small ranges take the median of the quartile elements, not of
+// the ends: the ends of a range just partitioned hold what the last pass
+// swapped there, and with them a query repeated after one Add degrades
+// to near-minimum pivots. Large ranges follow Floyd and Rivest: select
+// from a strided sample of about n^(2/3) elements the one whose sample
+// rank matches k, offset toward the middle by their margin, so that k
+// almost surely lands on the smaller side of the partition. A tail rank
+// such as the p99 then leaves a few percent of a after a single pass.
+func pivot(a []float64, k int) float64 {
+	n := len(a)
+	if n < 1024 {
+		x, y, z := a[n/4], a[n/2], a[n-1-n/4]
+		if y < x {
+			x, y = y, x
+		}
+		if z < y {
+			y = z
+			if y < x {
+				y = x
+			}
+		}
+		return y
+	}
+	fn := float64(n)
+	ln := math.Log(fn)
+	s := int(0.5 * math.Exp(2*ln/3))
+	stride := n / s
+	for t := 0; t < s; t++ {
+		a[t], a[t*stride] = a[t*stride], a[t]
+	}
+	sd := 0.5 * math.Sqrt(ln*float64(s)*(fn-float64(s))/fn)
+	if 2*k < n {
+		sd = -sd
+	}
+	ks := int(float64(k)*float64(s)/fn - sd)
+	ks = max(0, min(s-1, ks))
+	nthElement(a[:s], ks, 2*bits.Len(uint(s)))
+	return a[ks]
 }
 
 // RelativeQuantileErrorBelow reports whether the q-quantile's confidence
@@ -112,16 +236,22 @@ func (l *LatencyRecorder) RelativeQuantileErrorBelow(q, z, frac float64) bool {
 
 // Reset discards all recorded samples but keeps capacity.
 func (l *LatencyRecorder) Reset() {
-	l.sorted = l.sorted[:0]
-	l.tail = l.tail[:0]
+	l.buf = l.buf[:0]
 	l.sum = 0
+	l.placed = l.placed[:0]
+	l.sorted = false
+	l.nan = false
 }
 
 // Samples returns the recorded observations in ascending order (shared
-// backing array; do not mutate).
+// backing array; do not mutate). It sorts the buffer once; later
+// queries read it directly until the next Add.
 func (l *LatencyRecorder) Samples() []float64 {
-	l.ensureSorted()
-	return l.sorted
+	if !l.sorted {
+		sort.Float64s(l.buf)
+		l.sorted = true
+	}
+	return l.buf
 }
 
 // BinomialPMF returns P(X = k) for X ~ Binomial(n, p), computed in log

@@ -47,8 +47,8 @@ func TestLatencyRecorderInterleavedSort(t *testing.T) {
 
 // TestLatencyRecorderMergeMatchesFullSort interleaves adds with
 // quantile queries (the convergence-check access pattern) and verifies
-// the incrementally merged recorder agrees with a full sort of the same
-// observations at every checkpoint.
+// the recorder agrees with a full sort of the same observations at
+// every checkpoint.
 func TestLatencyRecorderMergeMatchesFullSort(t *testing.T) {
 	rng := NewRNG(7)
 	l := NewLatencyRecorder(64)

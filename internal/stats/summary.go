@@ -89,23 +89,39 @@ func (s *Summary) Merge(other *Summary) {
 // samples using linear interpolation between order statistics. If samples
 // is unsorted the result is undefined; use QuantileUnsorted for raw data.
 func Quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
+	i, j, frac := quantileRanks(len(sorted), q)
+	return interpolate(sorted, i, j, frac)
+}
+
+// quantileRanks returns the ranks of the two order statistics the
+// q-quantile of n > 0 samples interpolates between, and the weight of
+// the upper one. i == j means the quantile is that order statistic.
+func quantileRanks(n int, q float64) (i, j int, frac float64) {
 	if q <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if q >= 1 {
-		return sorted[n-1]
+		return n - 1, n - 1, 0
 	}
 	pos := q * float64(n-1)
-	i := int(pos)
-	frac := pos - float64(i)
+	i = int(pos)
+	frac = pos - float64(i)
 	if i+1 >= n {
-		return sorted[n-1]
+		return n - 1, n - 1, 0
 	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
+	return i, i + 1, frac
+}
+
+// interpolate combines the order statistics at ranks i and j of x, as
+// quantileRanks describes them.
+func interpolate(x []float64, i, j int, frac float64) float64 {
+	if i == j {
+		return x[i]
+	}
+	return x[i]*(1-frac) + x[j]*frac
 }
 
 // QuantileUnsorted copies, sorts, and returns the q-quantile of samples.
