@@ -36,7 +36,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -54,36 +53,6 @@ import (
 	"duplexity/internal/fleet"
 	"duplexity/internal/telemetry"
 )
-
-// dialFleet builds and registers a fleet coordinator over -fleet worker
-// URLs, pinning the world to this run's scale and seed so a mismatched
-// worker is a startup error, not a wrong result.
-func dialFleet(fleetList string, scale float64, seed uint64) (*fleet.Coordinator, error) {
-	var urls []string
-	for _, u := range strings.Split(fleetList, ",") {
-		u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-		if u == "" {
-			continue
-		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		urls = append(urls, u)
-	}
-	coord, err := fleet.New(fleet.Options{
-		Workers: urls,
-		World:   expt.World{Model: core.ModelVersion, Scale: scale, Seed: seed},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := coord.Register(ctx); err != nil {
-		return nil, err
-	}
-	return coord, nil
-}
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "simulation fidelity (1.0 = paper scale)")
@@ -127,7 +96,11 @@ func main() {
 	}
 	var remote campaign.Remote
 	if *fleetList != "" {
-		coord, err := dialFleet(*fleetList, *scale, *seed)
+		// Pin the world to this run's scale and seed so a mismatched
+		// worker is a startup error, not a wrong result.
+		coord, err := fleet.Dial(*fleetList, fleet.Options{
+			World: expt.World{Model: core.ModelVersion, Scale: *scale, Seed: *seed},
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "duplexity:", err)
 			os.Exit(1)

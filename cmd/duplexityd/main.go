@@ -223,7 +223,7 @@ func cmdServe(args []string) error {
 			if pw <= 0 {
 				pw = runtime.NumCPU()
 			}
-			go joinLoop(ctx, normalizeURL(*joinURL), normalizeURL(self), pw, suite.World())
+			go joinLoop(ctx, fleet.NormalizeURL(*joinURL), fleet.NormalizeURL(self), pw, suite.World())
 		}
 		hooks.onStop = func() {
 			cancel()
@@ -231,7 +231,7 @@ func cmdServe(args []string) error {
 			if self == "" {
 				return // bound address already gone; eviction will reap us
 			}
-			leaveFleet(normalizeURL(*joinURL), normalizeURL(self))
+			leaveFleet(fleet.NormalizeURL(*joinURL), fleet.NormalizeURL(self))
 		}
 	}
 
@@ -280,16 +280,6 @@ func (j *jobFlagSet) apply(cfg *serve.Config) error {
 		cfg.TenantWeights[name] = w
 	}
 	return nil
-}
-
-// normalizeURL gives bare host:port flags a scheme and strips trailing
-// slashes so worker identities compare equal across join/leave/evict.
-func normalizeURL(u string) string {
-	u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-	if u != "" && !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return u
 }
 
 // joinLoop announces this worker to a coordinator and heartbeats at the
@@ -445,7 +435,13 @@ func cmdCoordinate(args []string) error {
 		return fmt.Errorf("with an empty -fleet, -scale and -seed must pin the world joining workers are verified against")
 	}
 
-	coord, err := newCoordinator(*fleetList, *scale, *seed, *hedgeAfter, *heartbeat, *evictAfter)
+	// A zero scale+seed adopts the workers' world; otherwise the workers
+	// must match this binary's model at the given scale and seed.
+	o := fleet.Options{HedgeAfter: *hedgeAfter, HeartbeatInterval: *heartbeat, EvictAfter: *evictAfter}
+	if *scale != 0 || *seed != 0 {
+		o.World = expt.World{Model: core.ModelVersion, Scale: *scale, Seed: *seed}
+	}
+	coord, err := fleet.Dial(*fleetList, o)
 	if err != nil {
 		return err
 	}
@@ -491,40 +487,6 @@ func cmdCoordinate(args []string) error {
 	banner := fmt.Sprintf("coordinating on %%s (scale=%g seed=%d cachedir=%q fleet=%s)",
 		world.Scale, world.Seed, *cacheDir, *fleetList)
 	return serveUntilSignal(srv, mux, *addr, banner, *drainTimeout, nil)
-}
-
-// newCoordinator parses a -fleet worker list (possibly empty — the
-// fleet then grows through /v1/fleet/join), builds the fleet
-// coordinator, and registers it (verifying world identity). A zero
-// scale+seed adopts the workers' world; otherwise the workers must
-// match this binary's model at the given scale and seed.
-func newCoordinator(fleetList string, scale float64, seed uint64, hedgeAfter, heartbeat, evictAfter time.Duration) (*fleet.Coordinator, error) {
-	var urls []string
-	for _, u := range strings.Split(fleetList, ",") {
-		if u = normalizeURL(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	o := fleet.Options{
-		Workers: urls, HedgeAfter: hedgeAfter,
-		HeartbeatInterval: heartbeat, EvictAfter: evictAfter,
-	}
-	if scale != 0 || seed != 0 {
-		o.World = expt.World{Model: core.ModelVersion, Scale: scale, Seed: seed}
-	}
-	coord, err := fleet.New(o)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := coord.Register(ctx); err != nil {
-		return nil, err
-	}
-	if w := coord.World(); w != (expt.World{}) && w.Model != core.ModelVersion {
-		return nil, fmt.Errorf("fleet serves model %q but this binary is %q", w.Model, core.ModelVersion)
-	}
-	return coord, nil
 }
 
 func cmdSubmit(args []string) error {
@@ -719,7 +681,7 @@ func cmdJoin(args []string) error {
 	if *coordinator == "" || *workerURL == "" {
 		return fmt.Errorf("join: -coordinator and -worker are required")
 	}
-	coord, self := normalizeURL(*coordinator), normalizeURL(*workerURL)
+	coord, self := fleet.NormalizeURL(*coordinator), fleet.NormalizeURL(*workerURL)
 
 	// Probe the worker for its world and pool width so the coordinator
 	// can verify identity before dispatching a single cell to it.

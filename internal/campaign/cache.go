@@ -44,27 +44,18 @@ func (c *Cache) entryPath(digest string) string {
 	return filepath.Join(c.dir, digest+".json")
 }
 
-// Get returns the raw result JSON for a digest. A missing or
-// undecodable entry is a miss: the caller recomputes and Put overwrites
-// whatever was there.
-func (c *Cache) Get(digest string) (json.RawMessage, bool) {
-	e, ok := c.GetEntry(digest)
-	if !ok {
-		return nil, false
-	}
-	return e.Result, true
-}
-
 // GetEntry returns the full cached envelope for a digest — what a fleet
 // worker ships back to its coordinator, so the coordinator can store an
-// identical entry. Miss semantics match Get.
+// identical entry. A missing, undecodable or misplaced entry (one whose
+// key hashes to another digest) is a miss, never a wrong answer: the
+// caller recomputes and Put overwrites whatever was there.
 func (c *Cache) GetEntry(digest string) (Entry, bool) {
 	data, err := os.ReadFile(c.entryPath(digest))
 	if err != nil {
 		return Entry{}, false
 	}
 	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || len(e.Result) == 0 {
+	if err := json.Unmarshal(data, &e); err != nil || len(e.Result) == 0 || e.Key.Digest() != digest {
 		return Entry{}, false
 	}
 	return e, true

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"duplexity/internal/telemetry"
@@ -79,13 +78,11 @@ type Engine struct {
 	remote  Remote
 	stats   *Stats
 
-	// microMu guards the phase-1 layer of two-phase cells: an in-memory
-	// memo of resolved micro-sim results (bounded by the number of
-	// unique design×workload points) and the singleflight map that
-	// coalesces concurrent cells sharing a micro-sim.
-	microMu      sync.Mutex
-	microMem     map[string]json.RawMessage
-	microFlights map[string]*microFlight
+	// mu guards flights, the engine's one coalescing layer: a flight per
+	// digest being resolved, whole cells and phase-1 micro-sims alike, so
+	// concurrent resolutions of one digest share one computation.
+	mu      sync.Mutex
+	flights map[string]*flight
 }
 
 // New builds an engine. With a CacheDir, the directory is created if
@@ -98,8 +95,7 @@ func New(o Options) (*Engine, error) {
 	}
 	e := &Engine{
 		workers: w, remote: o.Remote, stats: newStats(),
-		microMem:     make(map[string]json.RawMessage),
-		microFlights: make(map[string]*microFlight),
+		flights: make(map[string]*flight),
 	}
 	if o.CacheDir != "" {
 		c, err := OpenCache(o.CacheDir)
@@ -165,7 +161,11 @@ type Task[R any] struct {
 func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 	results := make([]R, len(tasks))
 	errs := make([]error, len(tasks))
-	var failed atomic.Bool
+	// lowest is the lowest failing index so far. Cells past it are
+	// abandoned; cells before it still run, so which error Run reports
+	// does not depend on which worker reached its cell first.
+	var mu sync.Mutex
+	lowest := len(tasks)
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -174,13 +174,18 @@ func Run[R any](e *Engine, tasks []Task[R]) ([]R, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if failed.Load() {
-					continue // drain the queue without starting new cells
+				mu.Lock()
+				skip := i > lowest
+				mu.Unlock()
+				if skip {
+					continue // drain the queue without starting cells past a failure
 				}
 				r, _, err := runOne(e, tasks[i])
 				results[i], errs[i] = r, err
 				if err != nil {
-					failed.Store(true)
+					mu.Lock()
+					lowest = min(lowest, i)
+					mu.Unlock()
 				}
 			}
 		}()
@@ -221,69 +226,103 @@ func runOne[R any](e *Engine, t Task[R]) (R, bool, error) {
 
 // Resolve resolves one cell at the cache-entry level — the engine's
 // only resolver, shared by Run batches, the serve layer, and fleet
-// workers. The sequence is: local cache probe, then the remote
-// executor (if configured), then local computation through p, whose
-// phase-1 micro-sims resolve through their own cache layer first. The
+// workers. A resolution already running for the cell's digest (a whole
+// cell or a phase-1 micro-sim) is joined instead of repeated. Otherwise
+// the sequence is: local cache probe, then the remote executor (if
+// configured), then local computation through p, whose phase-1
+// micro-sims resolve through the same flights and cache first. The
 // returned Entry is exactly what the cache holds (or would hold, sans
 // cache dir), which is what lets a fleet worker ship its envelope to a
 // coordinator that then stores byte-identical entries. The bool
-// reports whether any cache — local or a remote worker's — answered
-// the cell.
+// reports whether any cache — local, a remote worker's, or a joined
+// flight — answered the cell.
 //
 // A remote failure falls back to local computation. A nil p (or one
 // without Compute) marks a cell the caller cannot compute locally; it
 // fails unless it is cached or remotely executable.
 //
-// tr (nil: untraced) records a span per stage — cache probe, remote
-// dispatch, compute, cache write — and the breakdown is journaled with
-// the completion. A non-zero deadline reaches the remote for placement
-// only. Neither ever changes what is computed or cached.
+// tr (nil: untraced) records a span per stage — coalesce wait, cache
+// probe, remote dispatch, compute, cache write — and the breakdown is
+// journaled with the completion. A follower's trace is marked joined to
+// the leader's and adopts its spans as children. A non-zero deadline
+// reaches the remote for placement only. Neither ever changes what is
+// computed or cached.
 func (e *Engine) Resolve(k Key, p *Plan, tr *telemetry.CellTrace, deadline time.Time) (Entry, bool, error) {
 	digest := k.Digest()
+	ent, cached, remote, wall, err := e.resolve(k, digest, p, false, tr, deadline)
+	if err != nil {
+		e.stats.recordError()
+		return Entry{}, false, err
+	}
+	e.finish(k, digest, p, cached, remote, wall, tr)
+	return ent, cached, nil
+}
 
+// resolve is the one path every resolution takes, whole cells and
+// phase-1 micro-sims (micro) alike: join the digest's flight, or lead
+// it and publish the outcome to its followers. cached reports that a
+// cache or another resolution answered; remote that the remote did
+// (never for a micro-sim); wall is the simulation time to account — a
+// remote entry's WallSeconds is the worker's, so SimWallSeconds still
+// sums real compute fleet-wide.
+func (e *Engine) resolve(k Key, digest string, p *Plan, micro bool, tr *telemetry.CellTrace, deadline time.Time) (ent Entry, cached, remote bool, wall float64, err error) {
+	wait := time.Now()
+	f, leader := e.join(digest, micro, tr)
+	if !leader {
+		<-f.done
+		tr.Stage(telemetry.StageCoalesce, wait)
+		tr.SetJoined(f.tr.TraceID())
+		tr.Adopt(f.tr.Spans(), "")
+		// A follower's resolution cost it nothing: a hit.
+		return f.ent, true, false, 0, f.err
+	}
+	rem := e.remote
+	if micro {
+		rem = nil
+	}
+	ent, cached, remote, err = e.lead(k, digest, p, rem, tr, deadline)
+	e.land(digest, f, ent, err)
+	if !cached || remote {
+		wall = ent.WallSeconds
+	}
+	return ent, cached, remote, wall, err
+}
+
+// lead resolves a digest for its flight's leader: local cache probe,
+// then rem (nil: none), then local computation through p and a cache
+// write. cached reports a cache answer (local, or the remote worker's);
+// remote reports that rem resolved the cell.
+func (e *Engine) lead(k Key, digest string, p *Plan, rem Remote, tr *telemetry.CellTrace, deadline time.Time) (ent Entry, cached, remote bool, err error) {
 	if e.cache != nil {
 		probe := time.Now()
 		if ent, ok := e.cache.GetEntry(digest); ok {
 			tr.StageDetail(telemetry.StageCache, probe, "hit")
-			e.finish(k, digest, p, true, false, 0, tr)
-			return ent, true, nil
+			return ent, true, false, nil
 		}
 		tr.StageDetail(telemetry.StageCache, probe, "miss")
 	}
 
 	computable := p != nil && p.Compute != nil
-	if e.remote != nil {
-		ent, remoteCached, err := e.remote.Exec(k, p.shardDigest(), tr, deadline)
+	if rem != nil {
+		ent, cached, err := rem.Exec(k, p.shardDigest(), tr, deadline)
 		if err == nil {
-			if err := e.put(digest, ent, tr); err != nil {
-				return Entry{}, false, err
-			}
-			// Cached reports the worker's cache; WallSeconds is the
-			// worker's simulation time, so SimWallSeconds still sums
-			// real compute fleet-wide.
-			e.finish(k, digest, p, remoteCached, true, ent.WallSeconds, tr)
-			return ent, remoteCached, nil
+			return ent, cached, true, e.put(digest, ent, tr)
 		}
 		if !computable {
-			e.stats.recordError()
-			return Entry{}, false, err
+			return Entry{}, false, false, err
 		}
 		// Remote exhausted its retries; fall back to computing locally so
 		// a coordinator outlives its whole fleet.
 	}
 	if !computable {
-		e.stats.recordError()
-		return Entry{}, false, fmt.Errorf("cell %s not cached and not computable", digest[:12])
+		return Entry{}, false, false, fmt.Errorf("cell %s not cached and not computable", digest[:12])
 	}
 
 	micro := make([]json.RawMessage, len(p.Micro))
 	for i, mt := range p.Micro {
-		raw, err := e.resolveMicro(mt, tr)
-		if err != nil {
-			e.stats.recordError()
-			return Entry{}, false, err
+		if micro[i], err = e.resolveMicro(mt); err != nil {
+			return Entry{}, false, false, err
 		}
-		micro[i] = raw
 	}
 
 	start := time.Now()
@@ -291,15 +330,10 @@ func (e *Engine) Resolve(k Key, p *Plan, tr *telemetry.CellTrace, deadline time.
 	wall := time.Since(start).Seconds()
 	tr.Stage(telemetry.StageCompute, start)
 	if err != nil {
-		e.stats.recordError()
-		return Entry{}, false, err
+		return Entry{}, false, false, err
 	}
-	ent := Entry{Key: k, WallSeconds: wall, Result: raw}
-	if err := e.put(digest, ent, tr); err != nil {
-		return Entry{}, false, err
-	}
-	e.finish(k, digest, p, false, false, wall, tr)
-	return ent, false, nil
+	ent = Entry{Key: k, WallSeconds: wall, Result: raw}
+	return ent, false, false, e.put(digest, ent, tr)
 }
 
 // put writes a resolved cell into the cache, if there is one.
@@ -309,7 +343,6 @@ func (e *Engine) put(digest string, ent Entry, tr *telemetry.CellTrace) error {
 	}
 	start := time.Now()
 	if err := e.cache.Put(digest, ent); err != nil {
-		e.stats.recordError()
 		return err
 	}
 	tr.Stage(telemetry.StageSerialize, start)

@@ -354,8 +354,49 @@ func TestCorruptCacheEntryIsMiss(t *testing.T) {
 		t.Fatalf("recomputed cell wrong: %+v", got[0])
 	}
 	// And the overwrite healed the cache.
-	if _, ok := e2.cache.Get(digest); !ok {
+	if _, ok := e2.cache.GetEntry(digest); !ok {
 		t.Fatal("recomputed entry not written back")
+	}
+}
+
+// A well-formed entry under another cell's name — a copied or renamed
+// file — is a miss, never a wrong answer: B is recomputed, not served
+// A's result, and the recomputation heals B's file.
+func TestMisplacedCacheEntryIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	var executed atomic.Int64
+	tasks := tasksOf(2, &executed)
+	e1, err := New(Options{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(e1, tasks[:1]); err != nil {
+		t.Fatal(err)
+	}
+	a, b := tasks[0].Key.Digest(), tasks[1].Key.Digest()
+	data, err := os.ReadFile(filepath.Join(dir, a+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, b+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e1.cache.GetEntry(b); ok {
+		t.Fatal("GetEntry answered B with A's entry")
+	}
+	e2, err := New(Options{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(e2, tasks[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != compute(1) || executed.Load() != 2 {
+		t.Fatalf("misplaced entry: got %+v after %d executions, want %+v recomputed", got[0], executed.Load(), compute(1))
+	}
+	if ent, ok := e2.cache.GetEntry(b); !ok || ent.Key != tasks[1].Key {
+		t.Fatalf("recomputed entry not written back under B: ok=%v key=%+v", ok, ent.Key)
 	}
 }
 

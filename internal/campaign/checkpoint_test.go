@@ -135,7 +135,7 @@ func TestDoCacheAndJournalIncomplete(t *testing.T) {
 	}
 	// The incomplete record must not poison resume: the cancelled key
 	// has no cache entry.
-	if _, ok := e.cache.Get(cancelled.Digest()); ok {
+	if _, ok := e.cache.GetEntry(cancelled.Digest()); ok {
 		t.Error("cancelled cell has a cache entry")
 	}
 	_ = os.Remove(e.cache.JournalPath())

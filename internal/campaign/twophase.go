@@ -83,85 +83,70 @@ func (p *Plan) shardDigest() string {
 	return p.Micro[0].Key.Digest()
 }
 
-// microFlight coalesces concurrent resolutions of one phase-1 digest:
-// N cells fanning loads out from the same micro-sim wait on one
-// measurement instead of racing N identical simulations.
-type microFlight struct {
+// flight is one resolution of a digest — a whole cell from Resolve or a
+// phase-1 micro-sim — shared by every concurrent resolution of that
+// digest: the first is the leader, the rest wait on done and read its
+// outcome. N cells fanning loads out from one micro-sim, or a served
+// slowdown cell racing a tail cell built on it, cost one measurement.
+type flight struct {
 	done chan struct{}
-	raw  json.RawMessage
+	ent  Entry
 	err  error
+	// tr is a whole-cell leader's trace (nil for a micro-sim leader);
+	// whole-cell followers adopt its spans so coalesced timelines still
+	// show where the shared work went.
+	tr *telemetry.CellTrace
+	// memo, guarded by Engine.mu, keeps the flight in the map once it
+	// succeeds: set when a micro-sim leads or joins it, so later cells
+	// sharing the micro-sim read it from memory even without a cache
+	// directory (bounded by the unique design×workload points). Other
+	// finished flights leave the map; the disk cache answers repeats.
+	memo bool
 }
 
-// resolveMicro resolves one phase-1 dependency: in-memory memo, disk
-// cache, singleflight join, then simulation (journaled into the cache
-// like any other cell). Micro-sim wall time counts toward the engine's
+// join returns digest's flight and whether the caller leads it. A
+// leader resolves the digest and calls land; a follower waits on done.
+func (e *Engine) join(digest string, micro bool, tr *telemetry.CellTrace) (*flight, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if f, ok := e.flights[digest]; ok {
+		f.memo = f.memo || micro
+		return f, false
+	}
+	f := &flight{done: make(chan struct{}), tr: tr, memo: micro}
+	e.flights[digest] = f
+	return f, true
+}
+
+// land publishes a leader's outcome to its followers.
+func (e *Engine) land(digest string, f *flight, ent Entry, err error) {
+	e.mu.Lock()
+	f.ent, f.err = ent, err
+	if err != nil || !f.memo {
+		delete(e.flights, digest)
+	}
+	e.mu.Unlock()
+	close(f.done)
+}
+
+// resolveMicro resolves one phase-1 dependency through its flight and
+// the disk cache, simulating (and writing the cache like any other
+// cell) only on a miss. Micro-sim wall time counts toward the engine's
 // SimWallSeconds — it is real compute — but micro resolutions are
 // accounted in their own per-layer counters, never in the legacy
 // Cells/Hits/Misses totals (those still count whole cells).
-func (e *Engine) resolveMicro(mt MicroTask, tr *telemetry.CellTrace) (json.RawMessage, error) {
+func (e *Engine) resolveMicro(mt MicroTask) (json.RawMessage, error) {
+	var p *Plan
+	if mt.Run != nil {
+		p = &Plan{Compute: func([]json.RawMessage) (json.RawMessage, error) { return mt.Run() }}
+	}
 	digest := mt.Key.Digest()
-
-	e.microMu.Lock()
-	if raw, ok := e.microMem[digest]; ok {
-		e.microMu.Unlock()
-		e.finishMicro(mt.Key, digest, true, 0)
-		return raw, nil
-	}
-	if f, ok := e.microFlights[digest]; ok {
-		e.microMu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		// A coalesced follower's micro-sim cost it nothing: a hit.
-		e.finishMicro(mt.Key, digest, true, 0)
-		return f.raw, nil
-	}
-	f := &microFlight{done: make(chan struct{})}
-	e.microFlights[digest] = f
-	e.microMu.Unlock()
-
-	raw, hit, wall, err := e.computeMicro(mt, digest, tr)
-
-	e.microMu.Lock()
-	delete(e.microFlights, digest)
-	if err == nil {
-		e.microMem[digest] = raw
-	}
-	e.microMu.Unlock()
-	f.raw, f.err = raw, err
-	close(f.done)
+	ent, cached, _, wall, err := e.resolve(mt.Key, digest, p, true, nil, time.Time{})
 	if err != nil {
 		return nil, err
 	}
-	e.finishMicro(mt.Key, digest, hit, wall)
-	return raw, nil
-}
-
-// computeMicro is the flight leader's path: disk probe, then
-// simulation plus a cache write.
-func (e *Engine) computeMicro(mt MicroTask, digest string, tr *telemetry.CellTrace) (json.RawMessage, bool, float64, error) {
-	if e.cache != nil {
-		if ent, ok := e.cache.GetEntry(digest); ok {
-			return ent.Result, true, 0, nil
-		}
-	}
-	if mt.Run == nil {
-		return nil, false, 0, fmt.Errorf("micro-sim %s not cached and not computable", digest[:12])
-	}
-	start := time.Now()
-	raw, err := mt.Run()
-	wall := time.Since(start).Seconds()
-	if err != nil {
-		return nil, false, 0, err
-	}
-	if e.cache != nil {
-		ent := Entry{Key: mt.Key, WallSeconds: wall, Result: raw}
-		if err := e.cache.Put(digest, ent); err != nil {
-			return nil, false, 0, err
-		}
-	}
-	return raw, false, wall, nil
+	e.finishMicro(mt.Key, digest, cached, wall)
+	return ent.Result, nil
 }
 
 // finishMicro records one phase-1 resolution in the per-layer counters

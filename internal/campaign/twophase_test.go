@@ -289,3 +289,93 @@ func TestTwoPhaseRejectsNil(t *testing.T) {
 		t.Fatalf("errors = %d, want 2", st.Errors)
 	}
 }
+
+// A whole-cell Resolve of a micro-sim's digest (a served slowdown cell)
+// and a queueing cell built on that micro-sim share one flight,
+// whichever arrives first: the digest is measured once, with or without
+// a cache directory, and the follower counts as a hit in its layer.
+func TestResolveCoalescesCellAndMicro(t *testing.T) {
+	for _, cacheDir := range []bool{false, true} {
+		for _, cellFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("cachedir=%v/cell_first=%v", cacheDir, cellFirst), func(t *testing.T) {
+				dir := ""
+				if cacheDir {
+					dir = t.TempDir()
+				}
+				eng, err := New(Options{Workers: 2, CacheDir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := microKey(0)
+				var runs atomic.Int64
+				started := make(chan struct{}, 2)
+				release := make(chan struct{})
+				measure := func() (json.RawMessage, error) {
+					runs.Add(1)
+					started <- struct{}{}
+					<-release
+					return json.Marshal(7.0)
+				}
+				cell := func() error {
+					p := &Plan{Compute: func([]json.RawMessage) (json.RawMessage, error) { return measure() }}
+					ent, _, err := eng.Resolve(x, p, nil, time.Time{})
+					if err == nil && string(ent.Result) != "7" {
+						err = fmt.Errorf("cell result %s, want 7", ent.Result)
+					}
+					return err
+				}
+				tail := func() error {
+					p := &Plan{
+						Queueing: true,
+						Micro:    []MicroTask{{Key: x, Run: measure}},
+						Compute:  func(m []json.RawMessage) (json.RawMessage, error) { return m[0], nil },
+					}
+					_, _, err := eng.Resolve(twoPhaseKey(0, 0.5), p, nil, time.Time{})
+					return err
+				}
+				first, second := cell, tail
+				if !cellFirst {
+					first, second = tail, cell
+				}
+				errs := make(chan error, 2)
+				go func() { errs <- first() }()
+				<-started
+				go func() { errs <- second() }()
+				// Release the measurement once a micro-sim resolution has
+				// joined X's flight (immediately when the micro-sim leads
+				// it), or as soon as a second measurement starts.
+				for !microJoined(eng, x.Digest()) && runs.Load() == 1 {
+					time.Sleep(time.Millisecond)
+				}
+				close(release)
+				for i := 0; i < 2; i++ {
+					if err := <-errs; err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := runs.Load(); n != 1 {
+					t.Fatalf("digest measured %d times, want 1", n)
+				}
+				st := eng.Stats()
+				wantHits, wantMicroHits, wantMicroMisses := 0, 1, 0
+				if !cellFirst {
+					wantHits, wantMicroHits, wantMicroMisses = 1, 0, 1
+				}
+				if st.Hits != wantHits || st.Misses != 2-wantHits || st.MicrosimHits != wantMicroHits || st.MicrosimMisses != wantMicroMisses {
+					t.Fatalf("stats hits/misses %d/%d, micro-sim %d/%d, want %d/%d and %d/%d",
+						st.Hits, st.Misses, st.MicrosimHits, st.MicrosimMisses,
+						wantHits, 2-wantHits, wantMicroHits, wantMicroMisses)
+				}
+			})
+		}
+	}
+}
+
+// microJoined reports whether a phase-1 resolution leads or has joined
+// digest's flight.
+func microJoined(e *Engine, digest string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f := e.flights[digest]
+	return f != nil && f.memo
+}

@@ -309,26 +309,15 @@ func (s *Suite) RunServedRawDeadline(cs CellSpec, tr *telemetry.CellTrace, deadl
 	}, nil
 }
 
-// RunServed resolves one validated cell and decodes it into the
-// API-facing result shape. It layers typed decoding over RunServedRaw,
-// so the local, coordinator, and worker paths all produce their
-// responses from the same cached bytes. Unlike the figure methods,
-// RunServed is safe for concurrent use (it touches no Suite
+// RunServedDeadline resolves one validated cell and decodes it into the
+// API-facing result shape, with a placement deadline for
+// interactive-lane cells (zero deadline: batch semantics) and per-stage
+// tracing threaded through (nil tr: untraced). It layers typed decoding
+// over RunServedRawDeadline, so the local, coordinator, and worker paths
+// all produce their responses from the same cached bytes. Unlike the
+// figure methods, it is safe for concurrent use (it touches no Suite
 // memoization), which is what lets the serve layer fan cells across its
-// pool with one shared Suite.
-func (s *Suite) RunServed(cs CellSpec) (ServedResult, error) {
-	return s.RunServedTraced(cs, nil)
-}
-
-// RunServedTraced is RunServed with per-stage tracing threaded through
-// (nil tr: untraced).
-func (s *Suite) RunServedTraced(cs CellSpec, tr *telemetry.CellTrace) (ServedResult, error) {
-	return s.RunServedDeadline(cs, tr, time.Time{})
-}
-
-// RunServedDeadline is RunServedTraced with a placement deadline for
-// interactive-lane cells (zero deadline: batch semantics). This is the
-// serve layer's run hook.
+// pool with one shared Suite. This is the serve layer's run hook.
 func (s *Suite) RunServedDeadline(cs CellSpec, tr *telemetry.CellTrace, deadline time.Time) (ServedResult, error) {
 	raw, err := s.RunServedRawDeadline(cs, tr, deadline)
 	if err != nil {

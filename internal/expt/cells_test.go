@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+	"time"
 
 	"duplexity/internal/campaign"
 	"duplexity/internal/core"
@@ -141,7 +142,7 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	if srv.Err() != nil {
 		t.Fatal(srv.Err())
 	}
-	res, err := srv.RunServed(CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load})
+	res, err := srv.RunServedDeadline(CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestRunServedMatchesCLIEntry(t *testing.T) {
 	}
 
 	// A second served request is answered by the cache, not simulation.
-	res2, err := srv.RunServed(CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load})
+	res2, err := srv.RunServedDeadline(CellSpec{Kind: KindMatrix, Design: "Baseline", Workload: spec.Name, Load: load}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

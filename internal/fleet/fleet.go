@@ -20,13 +20,13 @@
 //   - Retry: failed workers are down-marked with exponential backoff
 //     and their cells reshard to the next-ranked worker, so killing a
 //     worker mid-campaign delays cells instead of losing them.
-//   - L1: an in-memory singleflight result cache in front of the
-//     coordinator's disk cache absorbs duplicate submissions without a
-//     disk probe or a dispatch.
 //
 // Workers ship cache-entry-level results (expt.RawCellResult), which
 // the engine writes into the coordinator's cache verbatim — a fleet
-// campaign is byte-identical to a single-node run.
+// campaign is byte-identical to a single-node run. The coordinator
+// keeps no results of its own: the campaign engine in front of it
+// probes its disk cache and coalesces concurrent resolutions of a
+// digest before a cell ever reaches Exec.
 package fleet
 
 import (
@@ -37,11 +37,13 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"duplexity/internal/campaign"
+	"duplexity/internal/core"
 	"duplexity/internal/expt"
 	"duplexity/internal/serve"
 	"duplexity/internal/stats"
@@ -82,16 +84,6 @@ type Options struct {
 	EvictAfter time.Duration
 }
 
-// l1flight coalesces concurrent Execs of the same digest.
-type l1flight struct {
-	done chan struct{}
-	ent  campaign.Entry
-	err  error
-	// tr is the leader's trace; followers adopt its spans as children
-	// so coalesced timelines still show where the shared work went.
-	tr *telemetry.CellTrace
-}
-
 // Coordinator shards cells across a worker fleet. It implements
 // campaign.Remote and is safe for concurrent use.
 type Coordinator struct {
@@ -106,17 +98,12 @@ type Coordinator struct {
 	workers []*worker
 	world   expt.World
 
-	mu      sync.Mutex
-	l1      map[string]campaign.Entry
-	flights map[string]*l1flight
-
 	latMu sync.Mutex
 	lat   *stats.LatencyRecorder // completed-cell seconds, feeds the hedge threshold
 
 	hedges         atomic.Int64
 	hedgeWins      atomic.Int64
 	retries        atomic.Int64
-	l1Hits         atomic.Int64
 	joins          atomic.Int64
 	leaves         atomic.Int64
 	evictions      atomic.Int64
@@ -164,10 +151,43 @@ func New(o Options) (*Coordinator, error) {
 		client:  client,
 		workers: ws,
 		world:   o.World,
-		l1:      make(map[string]campaign.Entry),
-		flights: make(map[string]*l1flight),
 		lat:     stats.NewLatencyRecorder(1024),
 	}, nil
+}
+
+// NormalizeURL gives a bare host:port a scheme and strips trailing
+// slashes, so worker identities compare equal across join/leave/evict.
+func NormalizeURL(u string) string {
+	u = strings.TrimSuffix(strings.TrimSpace(u), "/")
+	if u != "" && !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return u
+}
+
+// Dial builds a coordinator over a comma-separated -fleet worker list
+// (possibly empty: the fleet then grows through joins), registers it
+// within 30s, and rejects a fleet whose world runs another simulator
+// model than this binary. A zero o.World adopts the workers' world.
+func Dial(list string, o Options) (*Coordinator, error) {
+	for _, u := range strings.Split(list, ",") {
+		if u = NormalizeURL(u); u != "" {
+			o.Workers = append(o.Workers, u)
+		}
+	}
+	c, err := New(o)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Register(ctx); err != nil {
+		return nil, err
+	}
+	if w := c.World(); w != (expt.World{}) && w.Model != core.ModelVersion {
+		return nil, fmt.Errorf("fleet serves model %q but this binary is %q", w.Model, core.ModelVersion)
+	}
+	return c, nil
 }
 
 // World returns the fleet's agreed world identity (meaningful after
@@ -249,12 +269,13 @@ func (c *Coordinator) queuez(ctx context.Context, w *worker) (serve.Queuez, erro
 	return qz, nil
 }
 
-// Exec resolves one cell through the fleet: L1 probe, singleflight
-// coalescing, then sharded/hedged dispatch. It is the campaign.Remote
-// seam — the returned Entry is stored in the coordinator's disk cache
-// verbatim by the engine. tr (nil for untraced callers) receives the
-// dispatch's remote spans, with the worker's shipped spans adopted as
-// children.
+// Exec resolves one cell through the fleet: sharded, hedged dispatch
+// with retries. It is the campaign.Remote seam — the returned Entry is
+// stored in the coordinator's disk cache verbatim by the engine. tr
+// (nil for untraced callers) receives the dispatch's remote spans, with
+// the worker's shipped spans adopted as children. Validation failures
+// and digest mismatches are fatal; 429s and connection errors reshard
+// to the next-ranked worker.
 //
 // Workers are rendezvous-ranked on shardDigest — a two-phase cell's
 // first phase-1 micro-sim digest — or on the cell's own digest when it
@@ -262,8 +283,7 @@ func (c *Coordinator) queuez(ctx context.Context, w *worker) (serve.Queuez, erro
 // same worker, whose in-process phase-1 memo turns the family's
 // remaining micro resolutions into hits; ranking on cell digests would
 // scatter the family and re-simulate the micro-sims once per worker.
-// L1, singleflight, and the digest verification all still use the
-// cell's own content address.
+// The digest verification still uses the cell's own content address.
 //
 // A non-zero deadline marks a deadline-lane cell: the hedge threshold
 // shrinks as the deadline approaches (Hurry-up-style placement), so a
@@ -278,49 +298,6 @@ func (c *Coordinator) Exec(k campaign.Key, shardDigest string, tr *telemetry.Cel
 	if rankDigest == "" {
 		rankDigest = digest
 	}
-	probe := time.Now()
-	c.mu.Lock()
-	if ent, ok := c.l1[digest]; ok {
-		c.mu.Unlock()
-		c.l1Hits.Add(1)
-		tr.StageDetail(telemetry.StageCache, probe, "l1")
-		return ent, true, nil
-	}
-	if f, ok := c.flights[digest]; ok {
-		c.mu.Unlock()
-		<-f.done
-		tr.Stage(telemetry.StageCoalesce, probe)
-		tr.SetJoined(f.tr.TraceID())
-		tr.Adopt(f.tr.Spans(), "")
-		if f.err != nil {
-			return campaign.Entry{}, false, f.err
-		}
-		// A coalesced follower's cell cost it nothing: a cache hit as
-		// far as its accounting is concerned.
-		return f.ent, true, nil
-	}
-	f := &l1flight{done: make(chan struct{}), tr: tr}
-	c.flights[digest] = f
-	c.mu.Unlock()
-
-	ent, cached, err := c.dispatch(k, digest, rankDigest, tr, deadline)
-
-	c.mu.Lock()
-	delete(c.flights, digest)
-	if err == nil {
-		c.l1[digest] = ent
-	}
-	c.mu.Unlock()
-	f.ent, f.err = ent, err
-	close(f.done)
-	return ent, cached, err
-}
-
-// dispatch runs the retry loop: acquire the best-ranked available
-// worker, attempt (with hedging), reshard to the next worker on
-// failure. Validation failures and digest mismatches are fatal; 429s
-// and connection errors reshard.
-func (c *Coordinator) dispatch(k campaign.Key, digest, rankDigest string, tr *telemetry.CellTrace, deadline time.Time) (campaign.Entry, bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.CellTimeout)
 	defer cancel()
 	var lastErr error
@@ -629,8 +606,6 @@ type Status struct {
 	Hedges         int64          `json:"hedges"`
 	HedgeWins      int64          `json:"hedge_wins"`
 	Retries        int64          `json:"retries"`
-	L1Hits         int64          `json:"l1_hits"`
-	L1Entries      int            `json:"l1_entries"`
 	Joins          int64          `json:"joins,omitempty"`
 	Leaves         int64          `json:"leaves,omitempty"`
 	Evictions      int64          `json:"evictions,omitempty"`
@@ -646,7 +621,6 @@ func (c *Coordinator) Stats() Status {
 		Hedges:         c.hedges.Load(),
 		HedgeWins:      c.hedgeWins.Load(),
 		Retries:        c.retries.Load(),
-		L1Hits:         c.l1Hits.Load(),
 		Joins:          c.joins.Load(),
 		Leaves:         c.leaves.Load(),
 		Evictions:      c.evictions.Load(),
@@ -656,9 +630,6 @@ func (c *Coordinator) Stats() Status {
 	for _, w := range c.snapshot() {
 		st.Workers = append(st.Workers, w.status(now))
 	}
-	c.mu.Lock()
-	st.L1Entries = len(c.l1)
-	c.mu.Unlock()
 	return st
 }
 

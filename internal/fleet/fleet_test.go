@@ -18,6 +18,7 @@ import (
 	"duplexity/internal/campaign"
 	"duplexity/internal/expt"
 	"duplexity/internal/serve"
+	"duplexity/internal/telemetry"
 )
 
 // keySuite is a shared cheap suite used only for key derivation (no
@@ -179,53 +180,89 @@ func TestShardingRoutesToHomeWorker(t *testing.T) {
 	}
 }
 
-func TestL1SingleflightCoalesces(t *testing.T) {
-	release := make(chan struct{})
-	f := newFakeWorker(t)
-	f.setHook(func(w http.ResponseWriter, r *http.Request) bool {
-		<-release
-		return false
-	})
-	c := newTestCoordinator(t, Options{}, f)
-
-	k := keyFor(t, 0.5)
-	var wg sync.WaitGroup
-	var cachedCount atomic.Int64
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ent, cached, err := c.Exec(k, "", nil, time.Time{})
+// TestEngineCoalescesFleetDispatch drives a campaign engine over the
+// coordinator: concurrent resolutions of one cell dispatch it once, and
+// the followers are cached hits whose traces join the leader's with a
+// coalesce span. With a cache directory a repeat answers from disk;
+// without one the coordinator keeps no results, so a repeat is
+// dispatched again to the cell's home worker.
+func TestEngineCoalescesFleetDispatch(t *testing.T) {
+	for _, withCache := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cachedir=%v", withCache), func(t *testing.T) {
+			release := make(chan struct{})
+			dispatched := make(chan struct{}, 8)
+			f := newFakeWorker(t)
+			f.setHook(func(w http.ResponseWriter, r *http.Request) bool {
+				dispatched <- struct{}{}
+				<-release
+				return false
+			})
+			dir := ""
+			if withCache {
+				dir = t.TempDir()
+			}
+			eng, err := campaign.New(campaign.Options{Workers: 5, CacheDir: dir, Remote: newTestCoordinator(t, Options{}, f)})
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			if cached {
-				cachedCount.Add(1)
+
+			k := keyFor(t, 0.5)
+			traces := make([]*telemetry.CellTrace, 5)
+			cached := make([]bool, 5)
+			var wg sync.WaitGroup
+			resolve := func(i int) {
+				defer wg.Done()
+				traces[i] = telemetry.NewCellTrace(telemetry.TraceContext{}, k.Digest())
+				ent, hit, err := eng.Resolve(k, nil, traces[i], time.Time{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cached[i] = hit
+				if len(ent.Result) == 0 {
+					t.Error("empty entry")
+				}
 			}
-			if len(ent.Result) == 0 {
-				t.Error("empty entry")
+			wg.Add(1)
+			go resolve(0)
+			<-dispatched // the leader's dispatch is in flight
+			for i := 1; i < 5; i++ {
+				wg.Add(1)
+				go resolve(i)
 			}
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // let followers coalesce
-	close(release)
-	wg.Wait()
-	if got := f.execCount(); got != 1 {
-		t.Fatalf("worker saw %d execs, want 1 (singleflight)", got)
-	}
-	if cachedCount.Load() != 4 {
-		t.Errorf("cached followers = %d, want 4", cachedCount.Load())
-	}
-	// A later Exec answers from L1 without touching the fleet.
-	if _, cached, err := c.Exec(k, "", nil, time.Time{}); err != nil || !cached {
-		t.Fatalf("L1 probe: cached=%v err=%v", cached, err)
-	}
-	if got := f.execCount(); got != 1 {
-		t.Fatalf("L1 hit reached the worker (%d execs)", got)
-	}
-	if st := c.Stats(); st.L1Hits != 1 || st.L1Entries != 1 {
-		t.Errorf("stats = %+v, want 1 L1 hit / 1 entry", st)
+			time.Sleep(50 * time.Millisecond) // let followers coalesce
+			close(release)
+			wg.Wait()
+			if got := f.execCount(); got != 1 {
+				t.Fatalf("worker saw %d execs, want 1 (coalesced)", got)
+			}
+			leader := traces[0].TraceID()
+			for i := 1; i < 5; i++ {
+				snap := traces[i].Finish()
+				coalesced := false
+				for _, sp := range snap.Spans {
+					coalesced = coalesced || sp.Stage == telemetry.StageCoalesce
+				}
+				if !cached[i] || snap.Joined != leader || !coalesced {
+					t.Errorf("follower %d: cached=%v joined=%q (leader %q) coalesce span=%v",
+						i, cached[i], snap.Joined, leader, coalesced)
+				}
+			}
+			if cached[0] {
+				t.Error("leader reported cached")
+			}
+
+			wantExecs := 2
+			if withCache {
+				wantExecs = 1
+			}
+			if _, _, err := eng.Resolve(k, nil, nil, time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := f.execCount(); got != wantExecs {
+				t.Fatalf("after a repeat the worker saw %d execs, want %d", got, wantExecs)
+			}
+		})
 	}
 }
 
@@ -374,12 +411,16 @@ func TestDigestMismatchFatal(t *testing.T) {
 		})
 		return true
 	})
-	c := newTestCoordinator(t, Options{}, f)
-	if _, _, err := c.Exec(keyFor(t, 0.5), "", nil, time.Time{}); err == nil {
+	eng, err := campaign.New(campaign.Options{Workers: 1, CacheDir: t.TempDir(), Remote: newTestCoordinator(t, Options{}, f)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keyFor(t, 0.5)
+	if _, _, err := eng.Resolve(k, nil, nil, time.Time{}); err == nil {
 		t.Fatal("digest drift must be a hard error, never cached")
 	}
-	if st := c.Stats(); st.L1Entries != 0 {
-		t.Error("drifted entry landed in L1")
+	if _, ok := eng.Lookup(k); ok {
+		t.Error("drifted entry landed in the cache")
 	}
 }
 

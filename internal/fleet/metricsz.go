@@ -15,7 +15,7 @@ import (
 
 // This file implements GET /v1/fleet/metricsz: one scrape target for
 // the whole fleet. The coordinator emits its own dispatch metrics
-// (hedges, retries, L1, per-worker windows) and concurrently scrapes
+// (hedges, retries, per-worker windows) and concurrently scrapes
 // every worker's /v1/metricsz, re-emitting each worker's samples with a
 // worker="<base-url>" label — so a fleet's shed rate, hedge rate, cache
 // hit ratio, and per-stage latency percentiles are observable from one
@@ -125,13 +125,11 @@ func (c *Coordinator) ownMetrics() telemetry.Snapshot {
 	f.Counter("hedges").Set(uint64(st.Hedges))
 	f.Counter("hedge_wins").Set(uint64(st.HedgeWins))
 	f.Counter("retries").Set(uint64(st.Retries))
-	f.Counter("l1.hits").Set(uint64(st.L1Hits))
 	f.Counter("joins").Set(uint64(st.Joins))
 	f.Counter("leaves").Set(uint64(st.Leaves))
 	f.Counter("evictions").Set(uint64(st.Evictions))
 	f.Counter("deadline.cells").Set(uint64(st.DeadlineCells))
 	f.Counter("deadline.hedges").Set(uint64(st.DeadlineHedges))
-	f.Gauge("l1.entries").Set(float64(st.L1Entries))
 	f.Gauge("workers").Set(float64(len(st.Workers)))
 	return reg.Snapshot(0)
 }

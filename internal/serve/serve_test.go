@@ -63,7 +63,7 @@ func TestE2EServeCampaignBitIdentical(t *testing.T) {
 	gate := make(chan struct{})
 	s.run = func(cs expt.CellSpec, tr *telemetry.CellTrace, _ time.Time) (expt.ServedResult, error) {
 		<-gate
-		return suite.RunServedTraced(cs, tr)
+		return suite.RunServedDeadline(cs, tr, time.Time{})
 	}
 
 	spec := expt.CampaignSpec{

@@ -44,8 +44,8 @@ const (
 	// StageCoalesce is time a duplicate request spent waiting on
 	// another in-flight execution of the same cell.
 	StageCoalesce = "coalesce"
-	// StageCache is the content-addressed cache probe (Detail "hit",
-	// "miss", or "l1" for the coordinator's in-memory tier).
+	// StageCache is the content-addressed cache probe (Detail "hit" or
+	// "miss").
 	StageCache = "cache"
 	// StageRemote is a coordinator-side dispatch to a fleet worker,
 	// network round trip included (Worker names the target).
@@ -145,8 +145,8 @@ type StageSpan struct {
 	// Worker names the daemon that recorded the span, for child spans
 	// adopted across a dispatch hop.
 	Worker string `json:"worker,omitempty"`
-	// Detail carries stage-specific annotation ("hit"/"miss"/"l1" for
-	// cache probes, an HTTP status for failed remote legs, ...).
+	// Detail carries stage-specific annotation ("hit"/"miss" for cache
+	// probes, an HTTP status for failed remote legs, ...).
 	Detail string `json:"detail,omitempty"`
 	// Hedged marks a remote span as a hedged duplicate leg.
 	Hedged bool `json:"hedged,omitempty"`

@@ -44,12 +44,14 @@ go test -race -run 'TestEventEquivalenceQuick' -timeout 15m ./internal/core
 go test -race -timeout 15m ./internal/campaign ./internal/expt
 # The two-layer cache split's correctness spine: the golden digest pins
 # for both key layers, the byte-identity of two-phase cells against
-# their monolithic equivalents, and the micro-sim singleflight under
-# contention. Named explicitly so a -run or -short tweak above can
+# their monolithic equivalents, the engine's digest-keyed flights under
+# contention (micro-sims sharing one measurement, a whole cell and a
+# micro-sim of one digest coalescing), and a misplaced cache entry
+# reading as a miss. Named explicitly so a -run or -short tweak above can
 # never silently drop the warm-cache compatibility guarantee from the
 # raced gate.
 go test -race -timeout 15m \
-    -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight' \
+    -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight|TestResolveCoalescesCellAndMicro|TestMisplacedCacheEntryIsMiss' \
     ./internal/campaign ./internal/expt
 # The serving layer is the most concurrency-dense package in the repo
 # (admission, coalescing, drain, panic isolation all cross goroutines);
@@ -59,9 +61,9 @@ go test -race -timeout 15m ./internal/serve
 # loop, and resume across goroutines; the whole suite runs raced.
 go test -race -timeout 15m ./internal/jobstore
 # The fleet coordinator crosses goroutines on every dispatch (hedges,
-# window accounting, L1 singleflight, runtime membership changes); its
-# suite, including the two-real-workers e2e byte-identity test, runs
-# raced.
+# window accounting, engine flights coalescing over the fleet, runtime
+# membership changes); its suite, including the two-real-workers e2e
+# byte-identity test, runs raced.
 go test -race -timeout 15m ./internal/fleet
 go test -race -run 'TestE2E' -timeout 15m .
 # The energy-proportionality subsystem: queueing idle accounting, the
@@ -76,7 +78,7 @@ go test -race -timeout 15m ./internal/idle ./internal/queueing ./internal/power 
 # name the trace suites explicitly so a -run filter tweak above can
 # never silently drop them from the raced gate.
 go test -race -timeout 15m \
-    -run 'TestTracez|TestCoalescedFollowerTrace|TestTracingOff|TestMetricsz|TestHedgedTrace|TestE2EFleetStitched|TestResolveTraced|TestLockedRing' \
+    -run 'TestTracez|TestCoalescedFollowerTrace|TestTracingOff|TestMetricsz|TestHedgedTrace|TestE2EFleetStitched|TestResolveTraced|TestEngineCoalescesFleetDispatch|TestLockedRing' \
     ./internal/serve ./internal/fleet ./internal/campaign ./internal/telemetry
 
 echo "== energyprop smoke =="
