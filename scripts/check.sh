@@ -46,12 +46,13 @@ go test -race -timeout 15m ./internal/campaign ./internal/expt
 # for both key layers, the byte-identity of two-phase cells against
 # their monolithic equivalents, the engine's digest-keyed flights under
 # contention (micro-sims sharing one measurement, a whole cell and a
-# micro-sim of one digest coalescing), and a misplaced cache entry
-# reading as a miss. Named explicitly so a -run or -short tweak above can
-# never silently drop the warm-cache compatibility guarantee from the
+# micro-sim of one digest coalescing), a misplaced cache entry reading
+# as a miss, and the micro-sim payload pins (which self-skip under the
+# race detector; the unraced go test ./... runs them). Named explicitly
+# so a -run or -short tweak above can never silently drop the warm-cache compatibility guarantee from the
 # raced gate.
 go test -race -timeout 15m \
-    -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight|TestResolveCoalescesCellAndMicro|TestMisplacedCacheEntryIsMiss' \
+    -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestMicroSimGolden|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight|TestResolveCoalescesCellAndMicro|TestMisplacedCacheEntryIsMiss' \
     ./internal/campaign ./internal/expt
 # The serving layer is the most concurrency-dense package in the repo
 # (admission, coalescing, drain, panic isolation all cross goroutines);
