@@ -119,8 +119,10 @@ func (s Stats) MissRateFor(o Owner) float64 {
 // Cache is a set-associative, LRU, write-allocate cache model.
 // It tracks line presence and ownership, not data contents.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set back to back: set s is
+	// lines[s*Ways : (s+1)*Ways].
+	lines    []line
 	setMask  uint64
 	setBits  uint
 	lineBits uint
@@ -148,11 +150,7 @@ func New(cfg Config) (*Cache, error) {
 	for m := c.setMask; m > 0; m >>= 1 {
 		c.setBits++
 	}
-	c.sets = make([][]line, nsets)
-	backing := make([]line, lines)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
+	c.lines = make([]line, lines)
 	return c, nil
 }
 
@@ -176,6 +174,12 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return l & c.setMask, l >> c.setBits
 }
 
+// ways returns the lines of one set.
+func (c *Cache) ways(set uint64) []line {
+	lo := int(set) * c.cfg.Ways
+	return c.lines[lo : lo+c.cfg.Ways]
+}
+
 // Access looks up addr for the given owner, allocating on miss (LRU
 // victim). It returns whether the access hit and, if a valid line was
 // evicted, its line-aligned address.
@@ -183,7 +187,7 @@ func (c *Cache) Access(addr uint64, write bool, owner Owner) (hit bool) {
 	set, tag := c.index(addr)
 	c.lruClock++
 	c.Stats.Accesses[owner]++
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.lruClock
@@ -231,8 +235,8 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 // Contains reports whether addr is present (no LRU/state update).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, l := range c.ways(set) {
+		if l.valid && l.tag == tag {
 			return true
 		}
 	}
@@ -242,7 +246,7 @@ func (c *Cache) Contains(addr uint64) bool {
 // Invalidate removes addr's line if present (coherence back-invalidation).
 func (c *Cache) Invalidate(addr uint64) {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].valid = false
@@ -255,32 +259,23 @@ func (c *Cache) Invalidate(addr uint64) {
 // InvalidateAll discards every line (e.g. a write-through L0 whose
 // contents may be dropped at any time).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				c.sets[s][w].valid = false
-				c.Stats.Invalidations++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			c.lines[i].valid = false
+			c.Stats.Invalidations++
 		}
 	}
 }
 
 // OccupancyBy returns the fraction of valid lines installed by owner.
 func (c *Cache) OccupancyBy(owner Owner) float64 {
-	total := 0
 	mine := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			total++
-			if c.sets[s][w].valid && c.sets[s][w].owner == owner {
-				mine++
-			}
+	for _, l := range c.lines {
+		if l.valid && l.owner == owner {
+			mine++
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(mine) / float64(total)
+	return float64(mine) / float64(len(c.lines))
 }
 
 // StorageBits returns tag+state storage (for the area model the data

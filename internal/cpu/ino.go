@@ -203,6 +203,16 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
+// wrap reduces i in [0, 2n) into [0, n): the round-robin pointers and
+// ROB ring positions advance by less than a full turn, so one compare
+// replaces an integer division on the per-cycle paths.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 // Step simulates one cycle at global time now. Phases: issue first (using
 // last cycle's buffers), then fetch — so an instruction cannot be fetched
 // and issued in the same cycle.
@@ -216,10 +226,11 @@ func (c *InOCore) issue(now uint64) {
 	total := c.cfg.Width
 	ldst, fp, mul, ialu := c.cfg.LdStPorts, c.cfg.FPUs, c.cfg.Muls, c.cfg.IntALUs
 	n := len(c.slots)
-	start := c.issueRR
-	c.issueRR = (c.issueRR + 1) % n
+	i := c.issueRR
+	c.issueRR = wrap(i+1, n)
 	for k := 0; k < n && total > 0; k++ {
-		s := c.slots[(start+k)%n]
+		s := c.slots[i]
+		i = wrap(i+1, n)
 		if !s.active || s.unavailableUntil > now || s.blockedUntil > now {
 			continue
 		}
@@ -334,11 +345,12 @@ func (c *InOCore) slotIndex(s *InOSlot) int { return s.idx }
 func (c *InOCore) fetch(now uint64) {
 	budget := c.cfg.Width
 	n := len(c.slots)
-	start := c.fetchRR
-	c.fetchRR = (c.fetchRR + 1) % n
+	i := c.fetchRR
+	c.fetchRR = wrap(i+1, n)
 	fetchedAny := false
 	for k := 0; k < n && budget > 0; k++ {
-		s := c.slots[(start+k)%n]
+		s := c.slots[i]
+		i = wrap(i+1, n)
 		if !s.active || s.unavailableUntil > now || s.blockedUntil > now ||
 			s.fetchResumeAt > now || s.fetchBlocked {
 			continue

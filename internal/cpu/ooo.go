@@ -138,7 +138,7 @@ func (t *oooThread) pushFetch(in isa.Instr) {
 func (t *oooThread) replayLen() int { return len(t.replay) - t.replayHead }
 
 // robAt returns the entry at ring offset i from head (0 = oldest).
-func (t *oooThread) robAt(i int) *robEntry { return &t.rob[(t.head+i)%len(t.rob)] }
+func (t *oooThread) robAt(i int) *robEntry { return &t.rob[wrap(t.head+i, len(t.rob))] }
 
 // OoOCore is the 4-wide out-of-order superscalar engine from Table I,
 // supporting one or more SMT threads with ICOUNT fetch, optional SMT+
@@ -288,9 +288,8 @@ func (c *OoOCore) Step(now uint64) {
 func (c *OoOCore) commit(now uint64) {
 	budget := c.cfg.Width
 	n := len(c.threads)
-	start := c.rrPtr
-	for k := 0; k < n && budget > 0; k++ {
-		tid := (start + k) % n
+	tid := c.rrPtr
+	for k := 0; k < n && budget > 0; k, tid = k+1, wrap(tid+1, n) {
 		t := c.threads[tid]
 		for budget > 0 && t.size > 0 {
 			e := t.robAt(0)
@@ -298,7 +297,7 @@ func (c *OoOCore) commit(now uint64) {
 				break
 			}
 			c.refund(t, e)
-			t.head = (t.head + 1) % len(t.rob)
+			t.head = wrap(t.head+1, len(t.rob))
 			t.size--
 			t.Stats.Retired++
 			c.Stats.TotalRetired++
@@ -392,10 +391,11 @@ func (c *OoOCore) issue(now uint64) {
 			}
 		}
 	} else {
-		start := c.rrPtr
-		c.rrPtr = (c.rrPtr + 1) % len(c.threads)
-		for k := range c.threads {
-			order = append(order, (start+k)%len(c.threads))
+		tid := c.rrPtr
+		c.rrPtr = wrap(c.rrPtr+1, len(c.threads))
+		for range c.threads {
+			order = append(order, tid)
+			tid = wrap(tid+1, len(c.threads))
 		}
 	}
 
@@ -511,9 +511,8 @@ func (c *OoOCore) issue(now uint64) {
 func (c *OoOCore) dispatch(now uint64) {
 	budget := c.cfg.Width
 	n := len(c.threads)
-	start := c.rrPtr
-	for k := 0; k < n && budget > 0; k++ {
-		tid := (start + k) % n
+	tid := c.rrPtr
+	for k := 0; k < n && budget > 0; k, tid = k+1, wrap(tid+1, n) {
 		t := c.threads[tid]
 		for budget > 0 && t.fetchLen() > 0 {
 			in := t.fetchBuf[t.fetchHead]
@@ -538,7 +537,7 @@ func (c *OoOCore) dispatch(now uint64) {
 				}
 			}
 			t.popFetch()
-			pos := (t.head + t.size) % len(t.rob)
+			pos := wrap(t.head+t.size, len(t.rob))
 			t.nextSeq++
 			e := &t.rob[pos]
 			*e = robEntry{seq: t.nextSeq, in: in, state: robWaiting}

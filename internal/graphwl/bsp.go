@@ -201,13 +201,16 @@ type bspWorker struct {
 	codeBase uint64
 	pcIdx    uint64
 
-	localStep  int
-	phase      int // 0 contrib (PR only), 1 mid-barrier, 2 gather, 3 end-barrier
-	vCursor    int
-	inBarrier  bool
-	myMidGen   int
-	remoteSeen map[int32]struct{}
-	missCount  int
+	localStep int
+	phase     int // 0 contrib (PR only), 1 mid-barrier, 2 gather, 3 end-barrier
+	vCursor   int
+	inBarrier bool
+	myMidGen  int
+	// seen[l] == epoch marks remote line l as fetched this superstep;
+	// a new superstep bumps epoch instead of clearing seen.
+	seen      []uint32
+	epoch     uint32
+	missCount int
 
 	// Stats
 	SpinRounds uint64
@@ -215,12 +218,13 @@ type bspWorker struct {
 
 func newBSPWorker(j *Job, id int) *bspWorker {
 	w := &bspWorker{
-		job:        j,
-		id:         id,
-		rng:        stats.NewRNG(j.cfg.Seed ^ (uint64(id+1) * 0x9e37)),
-		codeBase:   0x500000 + uint64(id)*0x11040,
-		remoteSeen: make(map[int32]struct{}),
-		vCursor:    id,
+		job:      j,
+		id:       id,
+		rng:      stats.NewRNG(j.cfg.Seed ^ (uint64(id+1) * 0x9e37)),
+		codeBase: 0x500000 + uint64(id)*0x11040,
+		seen:     make([]uint32, (j.g.N+7)/8),
+		epoch:    1,
+		vCursor:  id,
 	}
 	if j.cfg.Kernel == KernelSSSP {
 		w.phase = 2
@@ -290,12 +294,15 @@ func (w *bspWorker) touch(base uint64, u int32) {
 		w.load(addr)
 		return
 	}
-	line := int32(addr >> 6)
-	if _, ok := w.remoteSeen[line]; ok {
+	// addr's cache line is u>>3 past the base's: every base is line
+	// aligned, so line(addr) = base>>6 + u>>3, and u>>3 tells the lines
+	// of one base apart exactly as the full line number does.
+	line := u >> 3
+	if w.seen[line] == w.epoch {
 		w.load(addr)
 		return
 	}
-	w.remoteSeen[line] = struct{}{}
+	w.seen[line] = w.epoch
 	w.missCount++
 	if w.missCount%w.job.cfg.RemoteBatch == 1 || w.job.cfg.RemoteBatch == 1 {
 		w.remote(addr)
@@ -329,7 +336,10 @@ func (w *bspWorker) produce() {
 		}
 		w.vCursor = w.id
 		w.inBarrier = false
-		w.remoteSeen = make(map[int32]struct{})
+		if w.epoch++; w.epoch == 0 {
+			clear(w.seen) // stamps from 2^32 supersteps ago would match
+			w.epoch = 1
+		}
 		w.missCount = 0
 	}
 	switch w.phase {

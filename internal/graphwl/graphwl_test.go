@@ -233,3 +233,60 @@ func TestJobValidation(t *testing.T) {
 		t.Fatal("kernel names wrong")
 	}
 }
+
+// fillerSet builds a small PageRank+SSSP filler set and drives it
+// round-robin until both jobs have completed a run, so every worker's
+// instruction queue has reached the largest size the graph needs.
+func fillerSet(tb testing.TB) ([]isa.Stream, *Job, *Job) {
+	tb.Helper()
+	streams, pr, ss, err := NewFillerSet(MustGenPowerLaw(400, 6, 0.5, 19), 8, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for pr.Runs == 0 || ss.Runs == 0 {
+		for _, s := range streams {
+			s.Next(0)
+		}
+	}
+	return streams, pr, ss
+}
+
+// Steady-state instruction generation allocates nothing, including at
+// superstep boundaries, where each worker forgets the remote lines it
+// fetched.
+func TestBSPWorkerZeroAlloc(t *testing.T) {
+	streams, pr, ss := fillerSet(t)
+	prSteps, ssSteps := pr.Superstep(), ss.Superstep()
+	crossed := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 2000; i++ {
+			for _, s := range streams {
+				s.Next(0)
+			}
+		}
+		if pr.Superstep() != prSteps && ss.Superstep() != ssSteps {
+			crossed++
+		}
+		prSteps, ssSteps = pr.Superstep(), ss.Superstep()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 2000 rounds of Next", allocs)
+	}
+	if crossed == 0 {
+		t.Fatal("no measured round crossed a superstep boundary in both jobs")
+	}
+}
+
+var sinkInstr isa.Instr
+
+// BenchmarkBSPWorkerNext measures one filler instruction from a warm
+// PageRank+SSSP filler set, the workers taken round-robin as the lender
+// core's scheduler would.
+func BenchmarkBSPWorkerNext(b *testing.B) {
+	streams, _, _ := fillerSet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkInstr, _ = streams[i&7].Next(0)
+	}
+}

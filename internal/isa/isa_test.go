@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"duplexity/internal/stats"
 )
@@ -259,5 +260,13 @@ func TestRecordReplay(t *testing.T) {
 		if in != tr[i%1000] {
 			t.Fatalf("replay mismatch at %d", i)
 		}
+	}
+}
+
+// Instr's field order packs it into 40 bytes; every fetch buffer, ROB
+// entry and stream queue copies one per instruction.
+func TestInstrSize(t *testing.T) {
+	if s := unsafe.Sizeof(Instr{}); s != 40 {
+		t.Fatalf("isa.Instr is %d bytes, want 40", s)
 	}
 }

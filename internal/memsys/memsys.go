@@ -202,26 +202,33 @@ func (p *Port) Access(now uint64, addr uint64, write bool) int {
 func (p *Port) prefetch(addr uint64) {
 	line := addr >> 6
 	for i := range p.streams {
-		// Tolerate a one-line skip (taken branches hop over lines).
-		if line == p.streams[i] || line == p.streams[i]+1 {
-			// Stream confirmed: run two lines ahead (degree-2).
-			p.streams[i] = line + 1
-			for d := uint64(1); d <= 2; d++ {
-				next := (line + d) << 6
-				if !p.L1.Contains(next) {
-					p.L1.Access(next, false, p.Owner)
-					p.Shared.LLC.Access(next, false, p.Owner)
-				}
-			}
-			return
+		// u is line's distance past the line before the expected one,
+		// wrapping like the tracker arithmetic: 0 is a re-access within
+		// the current line, 1 the expected line, and 2 a one-line skip
+		// (taken branches hop over lines). Anything else is no match.
+		u := line + 1 - p.streams[i]
+		if u > 2 {
+			continue
 		}
-		if line+1 == p.streams[i] {
+		if u == 0 {
 			return // re-access within the current line: already tracked
 		}
+		// Stream confirmed: run two lines ahead (degree-2).
+		p.streams[i] = line + 1
+		for d := uint64(1); d <= 2; d++ {
+			next := (line + d) << 6
+			if !p.L1.Contains(next) {
+				p.L1.Access(next, false, p.Owner)
+				p.Shared.LLC.Access(next, false, p.Owner)
+			}
+		}
+		return
 	}
 	// Unknown line: allocate a tracker expecting the following line.
 	p.streams[p.streamPtr] = line + 1
-	p.streamPtr = (p.streamPtr + 1) % len(p.streams)
+	if p.streamPtr++; p.streamPtr == len(p.streams) {
+		p.streamPtr = 0
+	}
 }
 
 // LocalPorts returns the I and D ports for a core accessing its own L1s.

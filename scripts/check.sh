@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the repo's pre-merge gate:
 #
-#   1. go vet ./...
+#   1. gofmt -l . and go vet ./...
 #   2. go build ./...
 #   3. go test -race on the telemetry, core, campaign, expt, serve,
 #      and fleet packages plus the root e2e tests
@@ -20,6 +20,14 @@
 # set CHECK_SKIP_BENCH=1 to skip the benchmark on loaded CI machines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt: these files are not formatted:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -49,8 +57,8 @@ go test -race -timeout 15m ./internal/campaign ./internal/expt
 # micro-sim of one digest coalescing), a misplaced cache entry reading
 # as a miss, and the micro-sim payload pins (which self-skip under the
 # race detector; the unraced go test ./... runs them). Named explicitly
-# so a -run or -short tweak above can never silently drop the warm-cache compatibility guarantee from the
-# raced gate.
+# so a -run or -short tweak above can never silently drop the
+# warm-cache compatibility guarantee from the raced gate.
 go test -race -timeout 15m \
     -run 'TestLegacyDigestPinned|TestLambdaZeroKeepsLegacyDigest|TestTwoPhaseDigestsPinned|TestTwoPhaseByteIdentity|TestMicroSimGolden|TestTwoPhaseMicroComputedOnce|TestTwoPhaseWarmAndGridChange|TestTwoPhaseSingleflight|TestResolveCoalescesCellAndMicro|TestMisplacedCacheEntryIsMiss' \
     ./internal/campaign ./internal/expt
